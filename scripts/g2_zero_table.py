@@ -12,6 +12,7 @@ import time
 
 sys.path.insert(0, "src")
 
+from cyclochar.cli import _solve_report
 from cyclochar.cyclopoints import g2_adjoint_poly, solve
 from cyclochar.principal import principal_character, t_orders, zero_orders
 from cyclochar.rootsys import CartanType, adjoint_weight, build
@@ -33,23 +34,8 @@ def main():
     start = time.perf_counter()
     report = solve(g2_adjoint_poly())
     elapsed = time.perf_counter() - start
-
-    by_variant = {}
-    for p, vs in zip(report.points, report.variant_attribution):
-        for i in vs:
-            by_variant.setdefault(i, []).append(p)
-    print(f"{'i':>2}  {'R_i^cycl':<16} {'S_i^cycl':<16} couples; orders")
-    for i, xs, ys in report.variant_columns:
-        r = " ".join(f"Phi_{d}" for d in xs) or "-"
-        s = " ".join(f"Phi_{d}" for d in ys) or "-"
-        pts = by_variant.get(i, [])
-        couples = " ".join(p.label() for p in pts) or "-"
-        orders = " ".join(str(p.element_order) for p in pts)
-        print(f"{i:>2}  {r:<16} {s:<16} {couples}" + (f"; {orders}" if orders else ""))
-    print()
-    print(f"all element orders with a zero: {list(report.element_orders())}")
-    print(f"verified orbits: {len(report.points)} "
-          f"({sum(report.orbit_sizes)} points), {elapsed:.2f}s")
+    print("\n".join(_solve_report(report)[1]))
+    print(f"points on the verified orbits: {sum(report.orbit_sizes)}, solved in {elapsed:.2f}s")
 
 
 if __name__ == "__main__":

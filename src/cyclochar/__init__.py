@@ -6,12 +6,12 @@ polynomials on the unit circle."""
 from .errors import (
     CycloCharError,
     DegenerateDegree,
+    ExponentTooLarge,
     HypothesisViolated,
     InconsistentClassData,
     InexactDivision,
     InvalidRank,
     IsTrivial,
-    NoZeros,
     NonCyclotomicRemainder,
     NonIntegralDimension,
     NotASquare,

@@ -15,8 +15,9 @@ import operator
 from .errors import InexactDivision
 
 
-def trim(p: list[int]) -> list[int]:
-    """Drop trailing zero coefficients (in place) and return the list."""
+def trim(p: list) -> list:
+    """Drop trailing zero coefficients (in place) and return the list; works
+    for Fraction coefficients too."""
     while p and p[-1] == 0:
         p.pop()
     return p

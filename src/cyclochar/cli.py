@@ -12,7 +12,7 @@ import json
 import sys
 
 from .cyclopoints import CycloSolveReport, g2_adjoint_poly, solve
-from .errors import CycloCharError, ParseError
+from .errors import CycloCharError, ExponentTooLarge, ParseError
 from .laurent import BiLaurentPoly
 from .parsing import parse_bivariate, parse_univariate
 from .principal import (
@@ -33,6 +33,10 @@ from .scharacter import (
 )
 
 USAGE_EXIT, PARSE_EXIT, DOMAIN_EXIT = 1, 2, 3
+
+# Largest |exponent| accepted by scheck positive/classify/su2: the exact
+# positivity decision slows steeply with the degree (tens of seconds at 256).
+MAX_SCHECK_EXPONENT = 256
 
 
 def _parse_weight(rs, text: str) -> DominantWeight:
@@ -242,6 +246,10 @@ def cmd_scheck(args) -> tuple[int, dict, list[str]]:
     if not args.expr:
         raise CycloCharError(f"scheck {args.subcheck} needs --expr")
     f = parse_univariate(args.expr)
+    top = max(map(abs, f.support()), default=0)
+    if top > MAX_SCHECK_EXPONENT:
+        raise ExponentTooLarge(
+            f"exponent {top} exceeds the scheck limit |exponent| <= {MAX_SCHECK_EXPONENT}")
     if args.subcheck == "positive":
         rep = is_positive_on_circle(f)
         report = {"positive": rep.is_positive}

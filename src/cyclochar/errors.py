@@ -89,5 +89,5 @@ class InconsistentClassData(CycloCharError):
     no zero class, which no genuine virtual character can do."""
 
 
-class NoZeros(CycloCharError):
-    """A degree-1 character has no zeros; zero-finding requests are refused."""
+class ExponentTooLarge(CycloCharError):
+    """An input exponent exceeds the size limit of the requested check."""

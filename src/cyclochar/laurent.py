@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import operator
 
 from . import _dense
 from .errors import (
@@ -20,37 +21,123 @@ from .errors import (
 )
 
 
-class LaurentPoly:
-    """A Laurent polynomial in one variable with integer coefficients.
+class _SparsePoly:
+    """A sparse integer polynomial: a map exponent -> coefficient with zero
+    coefficients never kept, so equality and hashing are structural.
 
-    Stored as a map exponent -> coefficient with zero coefficients never
-    kept, so equality and hashing are structural.  Instances are immutable;
-    all operations return fresh objects.
+    Subclasses fix the exponent type (an int, or an (x, y) pair) through
+    term(), _add_exp and to_str().  Instances are immutable; all operations
+    return fresh objects.
     """
 
     __slots__ = ("_c",)
 
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    c[e] = v
-        self._c = c
+    def __init__(self, coeffs: dict | None = None):
+        self._c = {e: v for e, v in coeffs.items() if v} if coeffs else {}
 
-    # -- constructors ------------------------------------------------------
+    @classmethod
+    def _of(cls, c: dict):
+        """Wrap a dict already free of zero coefficients, skipping the scan."""
+        obj = object.__new__(cls)
+        obj._c = c
+        return obj
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    @classmethod
+    def one(cls):
+        return cls.term(1)
+
+    @property
+    def coeffs(self) -> dict:
+        return dict(self._c)
+
+    def is_zero(self) -> bool:
+        return not self._c
+
+    def coefficient_sum(self) -> int:
+        """The value at 1."""
+        return sum(self._c.values())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.term(other)
+        if isinstance(other, type(self)):
+            return self._c == other._c
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __bool__(self) -> bool:
+        return bool(self._c)
+
+    def __neg__(self):
+        return self._of({e: -c for e, c in self._c.items()})
+
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.term(other)
+        out = dict(self._c)
+        for e, c in other._c.items():
+            v = out.get(e, 0) + c
+            if v:
+                out[e] = v
+            else:
+                del out[e]
+        return self._of(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other: int):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._of({e: c * other for e, c in self._c.items()} if other else {})
+        out = {}
+        a, b = self._c, other._c
+        if len(b) < len(a):
+            a, b = b, a
+        add = self._add_exp
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = add(ea, eb)
+                out[e] = out.get(e, 0) + ca * cb
+        return type(self)(out)
+
+    __rmul__ = __mul__
 
     @staticmethod
-    def zero() -> LaurentPoly:
-        return LaurentPoly()
+    def _join(terms) -> str:
+        """'a - b + c' from (coefficient, unsigned body) pairs, "0" if none."""
+        text = "".join(f" {'-' if c < 0 else '+'} {body}" for c, body in terms)
+        if not text:
+            return "0"
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
-    @staticmethod
-    def one() -> LaurentPoly:
-        return LaurentPoly({0: 1})
+    def __str__(self) -> str:
+        return self.to_str()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}('{self}')"
+
+
+class LaurentPoly(_SparsePoly):
+    """A Laurent polynomial in one variable with integer coefficients,
+    keyed by int exponents."""
+
+    __slots__ = ()
+    _add_exp = operator.add
 
     @staticmethod
     def term(coeff: int, exp: int = 0) -> LaurentPoly:
-        return LaurentPoly({exp: coeff})
+        return LaurentPoly._of({exp: coeff} if coeff else {})
 
     @staticmethod
     def variable() -> LaurentPoly:
@@ -60,20 +147,11 @@ class LaurentPoly:
     def from_dense(val: int, coeffs: list[int]) -> LaurentPoly:
         return LaurentPoly({val + i: c for i, c in enumerate(coeffs)})
 
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def coeffs(self) -> dict[int, int]:
-        return dict(self._c)
-
     def coefficient(self, exp: int) -> int:
         return self._c.get(exp, 0)
 
     def support(self) -> list[int]:
         return sorted(self._c)
-
-    def is_zero(self) -> bool:
-        return not self._c
 
     def is_constant(self) -> bool:
         return not self._c or self._c.keys() == {0}
@@ -105,10 +183,6 @@ class LaurentPoly:
         """max_exp - min_exp, the degree after stripping the monomial shift."""
         return self.max_exp - self.min_exp
 
-    def coefficient_sum(self) -> int:
-        """The value at t = 1."""
-        return sum(self._c.values())
-
     def dense(self) -> tuple[int, list[int]]:
         """(valuation, coefficient list from the valuation up); ((0, []) for 0)."""
         if not self._c:
@@ -118,60 +192,6 @@ class LaurentPoly:
         for e, c in self._c.items():
             out[e - lo] = c
         return lo, out
-
-    # -- ring operations ---------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._c == ({0: other} if other else {})
-        if isinstance(other, LaurentPoly):
-            return self._c == other._c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __neg__(self) -> LaurentPoly:
-        return LaurentPoly({e: -c for e, c in self._c.items()})
-
-    def __add__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            other = LaurentPoly.term(other)
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __rsub__(self, other: int) -> LaurentPoly:
-        return LaurentPoly.term(other) - self
-
-    def __mul__(self, other: int | LaurentPoly) -> LaurentPoly:
-        if isinstance(other, int):
-            return LaurentPoly({e: c * other for e, c in self._c.items()})
-        out: dict[int, int] = {}
-        a, b = self._c, other._c
-        if len(b) < len(a):
-            a, b = b, a
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = ea + eb
-                out[e] = out.get(e, 0) + ca * cb
-        return LaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if n < 0:
@@ -232,33 +252,13 @@ class LaurentPoly:
         _, b = other.dense()
         return _dense.divides(b, a)
 
-    # -- printing ----------------------------------------------------------
-
     def to_str(self, var: str = "t") -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c, reverse=True):
-            c = self._c[e]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+        def body(e, mag):
             if e == 0:
-                body = str(mag)
-            else:
-                v = var if e == 1 else f"{var}^{e}"
-                body = v if mag == 1 else f"{mag}*{v}"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly('{self}')"
+                return str(mag)
+            v = var if e == 1 else f"{var}^{e}"
+            return v if mag == 1 else f"{mag}*{v}"
+        return self._join((c, body(e, abs(c))) for e, c in sorted(self._c.items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -266,21 +266,28 @@ class LaurentPoly:
 # ---------------------------------------------------------------------------
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def euler_phi(n: int) -> int:
-    """Euler's totient by trial factorization."""
+    """Euler's totient from the distinct prime factors of n."""
     if n < 1:
         raise ValueError("phi is defined for positive integers")
     out = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            out -= out // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        out -= out // m
+    for p in prime_factors(n):
+        out -= out // p
     return out
 
 
@@ -345,10 +352,13 @@ def divides_cyclotomic(f: LaurentPoly, d: int) -> bool:
     """
     if f.is_zero():
         return True
-    _, p = f.dense()
-    folded = _dense.trim(_dense.fold(p, d))
+    return _phi_divides(f.dense()[1], d)
+
+
+def _phi_divides(p: list[int], d: int) -> bool:
+    """True when Phi_d divides the dense polynomial p, tested on the fold."""
     _, phi_d = cyclotomic(d).dense()
-    return _dense.divides(phi_d, folded)
+    return _dense.divides(phi_d, _dense.trim(_dense.fold(p, d)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +398,7 @@ def _cyclotomic_at(d: int, s: int) -> int:
     except KeyError:
         pass
     num, den = 1, 1
-    m = d
-    primes = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        primes.append(m)
+    primes = prime_factors(d)
     for mask in range(1 << len(primes)):
         q = 1
         bits = 0
@@ -448,11 +448,7 @@ def _cyclo_divisors_once(p: list[int], candidates: list[int] | None) -> list[int
             if w > 1 and v % w:
                 ok = False
                 break
-        if not ok:
-            continue
-        folded = _dense.trim(_dense.fold(p, d))
-        _, phi_d = cyclotomic(d).dense()
-        if _dense.divides(phi_d, folded):
+        if ok and _phi_divides(p, d):
             out.append(d)
     return out
 
@@ -514,97 +510,23 @@ def cyclo_factor(f: LaurentPoly) -> CycloFactorization:
 # ---------------------------------------------------------------------------
 
 
-class BiLaurentPoly:
-    """A Laurent polynomial in two variables x, y over the integers.
+class BiLaurentPoly(_SparsePoly):
+    """A Laurent polynomial in two variables x, y over the integers, keyed
+    by (x-exponent, y-exponent) pairs.  Substitution maps are ring
+    homomorphisms."""
 
-    Stored as a map (x-exponent, y-exponent) -> coefficient, zeros never
-    kept.  Substitution maps are ring homomorphisms; immutable like
-    LaurentPoly.
-    """
-
-    __slots__ = ("_c",)
-
-    def __init__(self, coeffs: dict[tuple[int, int], int] | None = None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                if v:
-                    c[(int(e[0]), int(e[1]))] = v
-        self._c = c
+    __slots__ = ()
 
     @staticmethod
-    def zero() -> BiLaurentPoly:
-        return BiLaurentPoly()
-
-    @staticmethod
-    def one() -> BiLaurentPoly:
-        return BiLaurentPoly({(0, 0): 1})
+    def _add_exp(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        return a[0] + b[0], a[1] + b[1]
 
     @staticmethod
     def term(coeff: int, xe: int = 0, ye: int = 0) -> BiLaurentPoly:
-        return BiLaurentPoly({(xe, ye): coeff})
-
-    @property
-    def coeffs(self) -> dict[tuple[int, int], int]:
-        return dict(self._c)
+        return BiLaurentPoly._of({(xe, ye): coeff} if coeff else {})
 
     def coefficient(self, xe: int, ye: int) -> int:
         return self._c.get((xe, ye), 0)
-
-    def is_zero(self) -> bool:
-        return not self._c
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self._c == ({(0, 0): other} if other else {})
-        if isinstance(other, BiLaurentPoly):
-            return self._c == other._c
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(frozenset(self._c.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._c)
-
-    def __neg__(self) -> BiLaurentPoly:
-        return BiLaurentPoly({e: -c for e, c in self._c.items()})
-
-    def __add__(self, other: int | BiLaurentPoly) -> BiLaurentPoly:
-        if isinstance(other, int):
-            other = BiLaurentPoly.term(other)
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) + c
-        return BiLaurentPoly(out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | BiLaurentPoly) -> BiLaurentPoly:
-        if isinstance(other, int):
-            other = BiLaurentPoly.term(other)
-        out = dict(self._c)
-        for e, c in other._c.items():
-            out[e] = out.get(e, 0) - c
-        return BiLaurentPoly(out)
-
-    def __rsub__(self, other: int) -> BiLaurentPoly:
-        return BiLaurentPoly.term(other) - self
-
-    def __mul__(self, other: int | BiLaurentPoly) -> BiLaurentPoly:
-        if isinstance(other, int):
-            return BiLaurentPoly({e: c * other for e, c in self._c.items()})
-        out: dict[tuple[int, int], int] = {}
-        a, b = self._c, other._c
-        if len(b) < len(a):
-            a, b = b, a
-        for (xa, ya), ca in a.items():
-            for (xb, yb), cb in b.items():
-                e = (xa + xb, ya + yb)
-                out[e] = out.get(e, 0) + ca * cb
-        return BiLaurentPoly(out)
-
-    __rmul__ = __mul__
 
     def substitute(self, x_sign: int = 1, x_pow: int = 1,
                    y_sign: int = 1, y_pow: int = 1) -> BiLaurentPoly:
@@ -630,10 +552,6 @@ class BiLaurentPoly:
             e = a * i + b * j
             out[e] = out.get(e, 0) + c
         return LaurentPoly(out)
-
-    def coefficient_sum(self) -> int:
-        """The value at x = y = 1."""
-        return sum(self._c.values())
 
     def monomial_split(self) -> tuple[int, int, BiLaurentPoly]:
         """(i0, j0, h0) with self = x**i0 * y**j0 * h0 and h0 having
@@ -670,13 +588,7 @@ class BiLaurentPoly:
         return out
 
     def to_str(self, x: str = "x", y: str = "y") -> str:
-        if not self._c:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self._c, key=lambda e: (-e[1], -e[0])):
-            c = self._c[(i, j)]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
+        def body(i, j, mag):
             atoms = []
             if mag != 1 or (i == 0 and j == 0):
                 atoms.append(str(mag))
@@ -684,18 +596,9 @@ class BiLaurentPoly:
                 atoms.append(y if j == 1 else f"{y}^{j}")
             if i != 0:
                 atoms.append(x if i == 1 else f"{x}^{i}")
-            parts.append((sign, "*".join(atoms)))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __str__(self) -> str:
-        return self.to_str()
-
-    def __repr__(self) -> str:
-        return f"BiLaurentPoly('{self}')"
+            return "*".join(atoms)
+        terms = sorted(self._c.items(), key=lambda t: (-t[0][1], -t[0][0]))
+        return self._join((c, body(i, j, abs(c))) for (i, j), c in terms)
 
 
 # ---------------------------------------------------------------------------
@@ -880,11 +783,28 @@ def eval_at_roots(h: BiLaurentPoly, modulus: int, a: int, b: int) -> CycloElemen
     return CycloElement(modulus, vec)
 
 
+_COS_BASIS: list[tuple[int, ...]] = [(2,), (0, 1)]
+
+
+def cos_basis(j: int) -> tuple[int, ...]:
+    """Coefficients of q_j(s) = z**j + z**-j as a polynomial in s = z + 1/z.
+
+    q_j(2 cos theta) = 2 cos(j theta), so 2 T_j(c) = q_j(2c) for the
+    Chebyshev polynomial T_j.  Built iteratively by q_{j+1} = s q_j - q_{j-1}
+    and memoised.
+    """
+    basis = _COS_BASIS
+    while len(basis) <= j:
+        prev, cur = basis[-2], basis[-1]
+        basis.append(tuple(a - b for a, b in zip((0,) + cur, prev + (0, 0))))
+    return basis[j]
+
+
 def cos_minimal_poly(n: int) -> tuple[int, ...]:
     """Dense coefficients of the minimal polynomial of 2*cos(2*pi/n).
 
-    For n >= 3 it is extracted from the palindromic Phi_n via the basis
-    q_j(s) = z**j + z**-j with s = z + 1/z; monic of degree phi(n)/2.
+    For n >= 3 it is extracted from the palindromic Phi_n in the basis
+    q_j(s) of cos_basis; monic of degree phi(n)/2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -896,10 +816,7 @@ def cos_minimal_poly(n: int) -> tuple[int, ...]:
     k = (len(a) - 1) // 2
     out = [0] * (k + 1)
     out[0] = a[k]
-    q_prev = [2]
-    q = [0, 1]
     for j in range(1, k + 1):
-        for i, c in enumerate(q):
+        for i, c in enumerate(cos_basis(j)):
             out[i] += a[k + j] * c
-        q_prev, q = q, _dense.sub([0] + q, q_prev)
     return tuple(out)

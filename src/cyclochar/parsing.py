@@ -53,12 +53,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    """Recursive descent over the token list, accumulating exponent maps."""
+    """Recursive descent over the token list, building the polynomial with
+    the ring operations of LaurentPoly (one variable) or BiLaurentPoly (two);
+    integer literals stay ints until they meet a variable."""
 
     def __init__(self, tokens, variables):
         self.tokens = tokens
         self.pos = 0
         self.variables = variables
+        self.ring = LaurentPoly if len(variables) == 1 else BiLaurentPoly
 
     def peek(self):
         return self.tokens[self.pos]
@@ -68,40 +71,35 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def _const(self, value: int) -> dict:
-        zero = (0,) * len(self.variables)
-        return {zero: value} if value else {}
-
-    def expression(self) -> dict:
+    def expression(self):
         kind, val, _ = self.peek()
-        sign = 1
+        negate = kind == "OP" and val == "-"
         if kind == "OP" and val in "+-":
             self.take()
-            sign = -1 if val == "-" else 1
-        acc = _scale(self.term(), sign)
+        acc = -self.term() if negate else self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "OP" and val in "+-":
                 self.take()
                 rhs = self.term()
-                acc = _add(acc, _scale(rhs, -1 if val == "-" else 1))
+                acc = acc - rhs if val == "-" else acc + rhs
             else:
                 return acc
 
-    def term(self) -> dict:
+    def term(self):
         acc = self.factor()
         while True:
             kind, val, _ = self.peek()
             if kind == "OP" and val == "*":
                 self.take()
-                acc = _mul(acc, self.factor(), len(self.variables))
+                acc = acc * self.factor()
             else:
                 return acc
 
-    def factor(self) -> dict:
+    def factor(self):
         kind, val, pos = self.take()
         if kind == "INT":
-            return self._const(int(val))
+            return int(val)
         if kind == "NAME":
             if val not in self.variables:
                 if val in ALLOWED_VARIABLES:
@@ -114,8 +112,7 @@ class _Parser:
             if kind2 == "OP" and val2 == "^":
                 self.take()
                 exp = self._signed_integer()
-            mono = tuple(exp if v == val else 0 for v in self.variables)
-            return {mono: 1}
+            return self.ring.term(1, *(exp if v == val else 0 for v in self.variables))
         if kind == "OP" and val == "(":
             inner = self.expression()
             kind2, val2, pos2 = self.take()
@@ -135,34 +132,6 @@ class _Parser:
         return sign * int(val)
 
 
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        else:
-            out.pop(e, None)
-    return out
-
-
-def _scale(a: dict, k: int) -> dict:
-    return {e: k * c for e, c in a.items()} if k != 1 else a
-
-
-def _mul(a: dict, b: dict, arity: int) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            v = out.get(e, 0) + ca * cb
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-    return out
-
-
 def parse(text: str, variables=("t",)) -> LaurentPoly | BiLaurentPoly:
     """Parse an expression over the given variables (1 or 2 of t, u, x, y).
 
@@ -177,13 +146,11 @@ def parse(text: str, variables=("t",)) -> LaurentPoly | BiLaurentPoly:
         if v not in ALLOWED_VARIABLES:
             raise ValueError(f"variable {v!r} not in {ALLOWED_VARIABLES}")
     parser = _Parser(_tokenize(text), variables)
-    coeffs = parser.expression()
+    poly = parser.expression()
     kind, _, pos = parser.peek()
     if kind != "END":
         raise ParseError("trailing input after expression", pos)
-    if len(variables) == 1:
-        return LaurentPoly({e[0]: c for e, c in coeffs.items()})
-    return BiLaurentPoly({e: c for e, c in coeffs.items()})
+    return parser.ring.term(poly) if isinstance(poly, int) else poly
 
 
 def parse_univariate(text: str, variable: str = "t") -> LaurentPoly:

@@ -22,7 +22,7 @@ from .errors import (
     ProductNotLarger,
     ZeroWeight,
 )
-from .laurent import LaurentPoly, cyclo_factor, divides_cyclotomic
+from .laurent import LaurentPoly, cyclo_factor, divides_cyclotomic, prime_factors
 from .rootsys import DominantWeight, RootSystem, epsilon_trivial, weight_pairings, weyl_dim
 
 
@@ -163,20 +163,6 @@ def _valuation(n: int, p: int) -> int:
     return v
 
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.add(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def prime_power_zero(numer: list[int], denom: list[int]) -> tuple[int, int]:
     """A prime power ell**m with Phi_{ell**m} dividing
     prod(t**n'_i - 1)/prod(t**n_i - 1), given prod n'_i > prod n_i.
@@ -197,7 +183,7 @@ def prime_power_zero(numer: list[int], denom: list[int]) -> tuple[int, int]:
         raise ProductNotLarger(f"{prod_n} <= {prod_d}")
     primes = set()
     for a in numer:
-        primes |= _prime_factors(a)
+        primes.update(prime_factors(a))
     for ell in sorted(primes):
         if sum(_valuation(a, ell) for a in numer) > sum(_valuation(b, ell) for b in denom):
             m = 1

@@ -6,18 +6,13 @@ non-root rational endpoints throughout, so every sign decision is exact.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 
-
-def trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+from . import _dense
 
 
 def from_ints(p) -> list[Fraction]:
-    return trim([Fraction(c) for c in p])
+    return _dense.trim([Fraction(c) for c in p])
 
 
 def evaluate(p: list[Fraction], x: Fraction) -> Fraction:
@@ -28,12 +23,12 @@ def evaluate(p: list[Fraction], x: Fraction) -> Fraction:
 
 
 def derivative(p: list[Fraction]) -> list[Fraction]:
-    return trim([i * c for i, c in enumerate(p)][1:])
+    return _dense.trim([i * c for i, c in enumerate(p)][1:])
 
 
 def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     r = list(a)
-    trim(r)
+    _dense.trim(r)
     q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
     lead = b[-1]
     while r and len(r) >= len(b):
@@ -42,12 +37,12 @@ def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[
         q[k] = c
         for i, d in enumerate(b):
             r[k + i] -= c * d
-        trim(r)
-    return trim(q), r
+        _dense.trim(r)
+    return _dense.trim(q), r
 
 
 def gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = trim(list(a)), trim(list(b))
+    a, b = _dense.trim(list(a)), _dense.trim(list(b))
     while b:
         _, r = _divmod(a, b)
         a, b = b, r
@@ -68,7 +63,7 @@ def squarefree(p: list[Fraction]) -> list[Fraction]:
 
 
 def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [trim(list(p)), derivative(p)]
+    chain = [_dense.trim(list(p)), derivative(p)]
     while chain[-1]:
         _, r = _divmod(chain[-2], chain[-1])
         chain.append([-c for c in r])
@@ -107,7 +102,7 @@ def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[F
 
     Requires p(lo) != 0 and p(hi) != 0; p need not be squarefree.
     """
-    q = squarefree(trim([Fraction(c) for c in p]))
+    q = squarefree(_dense.trim([Fraction(c) for c in p]))
     if len(q) <= 1:
         return []
     if evaluate(q, lo) == 0 or evaluate(q, hi) == 0:
@@ -156,7 +151,7 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
     intervals and matches the nearer endpoint inside them, so evaluating p
     at the interval ends and at every isolating endpoint decides the claim.
     """
-    p = trim([Fraction(c) for c in p])
+    p = _dense.trim([Fraction(c) for c in p])
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -194,7 +189,7 @@ def sign_at_unique_root(f, q: list[Fraction], lo: Fraction, hi: Fraction) -> int
     q must be squarefree with exactly one root there (so it changes sign);
     the interval is narrowed until f is root-free and of constant sign on it.
     """
-    f = trim([Fraction(c) for c in f])
+    f = _dense.trim([Fraction(c) for c in f])
     if len(f) <= 1:
         v = f[0] if f else Fraction(0)
         return (v > 0) - (v < 0)
@@ -209,19 +204,3 @@ def sign_at_unique_root(f, q: list[Fraction], lo: Fraction, hi: Fraction) -> int
             lo = m
         else:
             hi = m
-
-
-@functools.lru_cache(maxsize=None)
-def chebyshev_t(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the Chebyshev polynomial T_n."""
-    if n == 0:
-        return (1,)
-    if n == 1:
-        return (0, 1)
-    prev, cur = chebyshev_t(n - 2), chebyshev_t(n - 1)
-    out = [0] * (n + 1)
-    for i, c in enumerate(cur):
-        out[i + 1] += 2 * c
-    for i, c in enumerate(prev):
-        out[i] -= c
-    return tuple(out)

@@ -10,7 +10,6 @@ its real roots on [-1, 1]; nothing is ever decided by floating point.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from fractions import Fraction
 
 from . import realroots
@@ -23,7 +22,7 @@ from .errors import (
     NotClassifiable,
     NotSymmetric,
 )
-from .laurent import CycloElement, LaurentPoly, cos_minimal_poly
+from .laurent import CycloElement, LaurentPoly, cos_basis, cos_minimal_poly
 from .parsing import parse_univariate
 from .principal import sl2_character
 
@@ -74,9 +73,9 @@ class SymmetricLaurent:
         out[0] = self.a(0)
         for n in range(1, top + 1):
             c = self.a(n)
-            if c:
-                for i, tc in enumerate(realroots.chebyshev_t(n)):
-                    out[i] += 2 * c * tc
+            if c:  # 2 T_n(x) = q_n(2x), so coefficient i of q_n scales by 2**i
+                for i, q in enumerate(cos_basis(n)):
+                    out[i] += c * q << i
         while out and out[-1] == 0:
             out.pop()
         return out
@@ -248,22 +247,6 @@ def torus_reject(f: dict[tuple[int, ...], int]) -> TorusRejection:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
-def _cos_basis(j: int) -> tuple[int, ...]:
-    """Coefficients of q_j(s) = z**j + z**-j as a polynomial in s = z + 1/z."""
-    if j == 0:
-        return (2,)
-    if j == 1:
-        return (0, 1)
-    prev, cur = _cos_basis(j - 2), _cos_basis(j - 1)
-    out = [0] * (j + 1)
-    for i, c in enumerate(cur):
-        out[i + 1] += c
-    for i, c in enumerate(prev):
-        out[i] -= c
-    return tuple(out)
-
-
 def cyclo_sign(v: CycloElement) -> int:
     """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N).
 
@@ -285,7 +268,7 @@ def cyclo_sign(v: CycloElement) -> int:
         if j == 0:
             coeffs[0] += c
             continue
-        basis = _cos_basis(j)
+        basis = cos_basis(j)
         while len(coeffs) < len(basis):
             coeffs.append(Fraction(0))
         for i, b in enumerate(basis):
@@ -408,9 +391,12 @@ def load_class_data(text: str) -> FiniteClassFunction:
             if len(fields) != 3 or values:
                 raise InconsistentClassData(f"malformed root directive: {raw!r}")
             var = fields[1]
-            modulus = int(fields[2])
+            try:
+                modulus = int(fields[2])
+            except ValueError:
+                modulus = 0
             if modulus < 1:
-                raise InconsistentClassData("root order must be >= 1")
+                raise InconsistentClassData(f"root order must be an integer >= 1: {raw!r}")
             continue
         if len(parts) != 2:
             raise InconsistentClassData(f"expected '<size> <expression>': {raw!r}")

@@ -1,7 +1,8 @@
 import json
 import pathlib
+import time
 
-from cyclochar.cli import main
+from cyclochar.cli import MAX_SCHECK_EXPONENT, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -155,6 +156,30 @@ class TestScheck:
     def test_not_symmetric_is_domain_error(self, capsys):
         code, _, err = run(capsys, "scheck", "positive", "--expr", "t + 1")
         assert code == 3 and "NotSymmetric" in err
+
+    def test_finite_non_integer_root_order(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("root t abc\n1 1\n")
+        code, out, err = run(capsys, "scheck", "finite", "--file", str(path))
+        assert code == 3 and not out
+        assert err.startswith("error: InconsistentClassData: root order")
+        assert err.count("\n") == 1
+
+    def test_exponent_limit(self, capsys):
+        for mode in ("positive", "classify", "su2"):
+            start = time.perf_counter()
+            code, out, err = run(capsys, "scheck", mode, "--expr", "t^-100000 + 2 + t^100000")
+            assert time.perf_counter() - start < 1.0
+            assert code == 3 and not out
+            assert "ExponentTooLarge" in err and str(MAX_SCHECK_EXPONENT) in err
+            assert err.count("\n") == 1
+
+    def test_exponent_at_limit_passes_the_bound(self, capsys):
+        # mean a0 - a2 = 2 rejects before the (slow) positivity decision
+        _, _, err = run(capsys, "scheck", "su2", "--expr", "t^-256 + 2 + t^256")
+        assert "NotAnSCharacter" in err
+        _, _, err = run(capsys, "scheck", "su2", "--expr", "t^-257 + 2 + t^257")
+        assert "ExponentTooLarge" in err
 
 
 class TestUsage:

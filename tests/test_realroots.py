@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclochar import realroots
-from cyclochar.laurent import cos_minimal_poly
+from cyclochar.laurent import cos_basis, cos_minimal_poly
 
 F = Fraction
 
@@ -128,17 +128,22 @@ class TestSignAtRoot:
 
 
 class TestChebyshev:
+    """The cosine basis q_n(s) = z**n + z**-n in s = z + 1/z, which also
+    gives the Chebyshev polynomials through 2 T_n(c) = q_n(2c)."""
+
     def test_values(self):
-        assert realroots.chebyshev_t(0) == (1,)
-        assert realroots.chebyshev_t(1) == (0, 1)
-        assert realroots.chebyshev_t(2) == (-1, 0, 2)
-        assert realroots.chebyshev_t(5) == (0, 5, 0, -20, 0, 16)
+        assert cos_basis(0) == (2,)
+        assert cos_basis(1) == (0, 1)
+        assert cos_basis(2) == (-2, 0, 1)
+        assert cos_basis(5) == (0, 5, 0, -5, 0, 1)
+        two_t5 = tuple(q << i for i, q in enumerate(cos_basis(5)))
+        assert two_t5 == (0, 10, 0, -40, 0, 32)
 
     def test_cos_identity(self):
         for n in range(8):
-            coeffs = realroots.chebyshev_t(n)
+            coeffs = cos_basis(n)
             for k in range(5):
                 theta = 0.3 + 0.7 * k
-                lhs = math.cos(n * theta)
-                rhs = sum(c * math.cos(theta) ** i for i, c in enumerate(coeffs))
+                lhs = 2 * math.cos(n * theta)
+                rhs = sum(c * (2 * math.cos(theta)) ** i for i, c in enumerate(coeffs))
                 assert abs(lhs - rhs) < 1e-9
