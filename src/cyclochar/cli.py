@@ -12,7 +12,7 @@ import json
 import sys
 
 from .cyclopoints import CycloSolveReport, g2_adjoint_poly, solve
-from .errors import CycloCharError, ExponentTooLarge, ParseError
+from .errors import CycloCharError, ExponentTooLarge, InvalidRank, ParseError
 from .laurent import BiLaurentPoly
 from .parsing import parse_bivariate, parse_univariate
 from .principal import (
@@ -22,7 +22,14 @@ from .principal import (
     t_orders,
     zero_orders,
 )
-from .rootsys import CartanType, DominantWeight, adjoint_weight, build, weyl_dim
+from .rootsys import (
+    CartanType,
+    DominantWeight,
+    adjoint_weight,
+    build,
+    weight_pairings,
+    weyl_dim,
+)
 from .scharacter import (
     classify_a0_2,
     finite_s_check,
@@ -37,6 +44,21 @@ USAGE_EXIT, PARSE_EXIT, DOMAIN_EXIT = 1, 2, 3
 # Largest |exponent| accepted by scheck positive/classify/su2: the exact
 # positivity decision slows steeply with the degree (tens of seconds at 256).
 MAX_SCHECK_EXPONENT = 256
+
+# Largest rank accepted by principal and dim: building the root system slows
+# steeply with the rank (1 to 2 s at 64, half a minute at 150).
+MAX_RANK = 64
+
+# Largest t-degree span 2 * sum(n'_i - n_i) of a principal character: its
+# dense polynomial is built and printed (about 2 s for a span of 74,400).
+MAX_PRINCIPAL_SPAN = 100_000
+
+
+def _build(text: str):
+    ctype = CartanType.parse(text)
+    if ctype.rank > MAX_RANK:
+        raise InvalidRank(f"rank {ctype.rank} exceeds the limit rank <= {MAX_RANK}")
+    return build(ctype)
 
 
 def _parse_weight(rs, text: str) -> DominantWeight:
@@ -58,8 +80,12 @@ def _phi_list(indices) -> str:
 
 
 def cmd_principal(args) -> tuple[int, dict, list[str]]:
-    rs = build(CartanType.parse(args.type))
+    rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
+    span = 2 * (sum(weight_pairings(rs, weight)) - sum(rs.rho_pairings))
+    if span > MAX_PRINCIPAL_SPAN:
+        raise ExponentTooLarge(
+            f"degree span {span} exceeds the principal limit span <= {MAX_PRINCIPAL_SPAN}")
     pc = principal_character(rs, weight)
     report = {
         "type": str(rs.type),
@@ -121,7 +147,7 @@ def cmd_principal(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_dim(args) -> tuple[int, dict, list[str]]:
-    rs = build(CartanType.parse(args.type))
+    rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
     d = weyl_dim(rs, weight)
     return 0, {"type": str(rs.type), "weight": list(weight.coords), "dimension": d}, [str(d)]

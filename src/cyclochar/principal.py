@@ -6,14 +6,25 @@ the one-parameter subgroup t -> f(t), f = 2 rho^vee, is
     t**(-<lambda, 2 rho^vee>) * prod (t**(2n'_i) - 1) / (t**(2n_i) - 1)
 
 with n'_i = <lambda + rho, a_i^vee> and n_i = <rho, a_i^vee> over the
-positive coroots.  The quotient is assembled as a truncated power series in
-linear passes per binomial and then certified exact by multiplying back,
-which keeps the rank-8 sweeps fast without giving up exactness.
+positive coroots.  Since t**k - 1 is the product of Phi_d(t) over d | k, the
+multiplicity of Phi_d is #{i : d | 2n'_i} - #{i : d | 2n_i}, or with the
+undoubled exponents in u = t**2: the zero orders, and the divisibility
+behind the explicit zero, are read off the two exponent lists by divisor
+counting, with no factoring.
+
+The dense passes (the quotient, its multiply-back certificate and the tensor
+identity) first cancel the exponents common to both lists as multisets, which
+is exact because a common nonzero factor cancels in Z[t, 1/t].  The quotient
+is assembled as a truncated power series in linear passes per binomial and
+then certified exact by multiplying back, which keeps the rank-8 sweeps fast
+without giving up exactness.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import math
 
 from . import _dense
 from .errors import (
@@ -22,7 +33,7 @@ from .errors import (
     ProductNotLarger,
     ZeroWeight,
 )
-from .laurent import LaurentPoly, cyclo_factor, divides_cyclotomic, prime_factors
+from .laurent import LaurentPoly, prime_factors
 from .rootsys import DominantWeight, RootSystem, epsilon_trivial, weight_pairings, weyl_dim
 
 
@@ -53,18 +64,52 @@ class PrincipalCharacter:
         return self.poly_u if self.epsilon_trivial else self.poly_t
 
 
+def _cancel_common(numer, denom) -> tuple[list[int], list[int]]:
+    """The two exponent lists with their common multiset part removed."""
+    num, den = collections.Counter(numer), collections.Counter(denom)
+    common = num & den
+    return list((num - common).elements()), list((den - common).elements())
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n >= 1, unordered, by trial division."""
+    out = []
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            out.append(d)
+            if d * d != n:
+                out.append(n // d)
+    return out
+
+
+def _cyclotomic_counts(numer, denom) -> collections.Counter:
+    """Multiplicity of Phi_d in prod(t**a - 1) / prod(t**b - 1) for every d
+    dividing an exponent, #{a : d | a} - #{b : d | b}, since t**k - 1 is the
+    product of Phi_d over d | k.  Exponents common to both lists cancel
+    first; a negative count means the quotient is not a polynomial."""
+    numer, denom = _cancel_common(numer, denom)
+    counts = collections.Counter()
+    for a in numer:
+        counts.update(_divisors(a))
+    for b in denom:
+        counts.subtract(_divisors(b))
+    return counts
+
+
 def binomial_quotient(numer: list[int], denom: list[int]) -> LaurentPoly:
     """Exact polynomial prod(t**a - 1) / prod(t**b - 1).
 
-    Computed as a power series truncated at the known degree and certified
-    by multiplying the denominator back; raises InexactDivision when the
-    quotient is not a polynomial.
+    Exponents common to both lists cancel first.  The rest is computed as a
+    power series truncated at the known degree and certified by multiplying
+    the denominator back; raises InexactDivision when the quotient is not a
+    polynomial.
     """
     if any(a < 1 for a in numer) or any(b < 1 for b in denom):
         raise ValueError("exponents must be positive")
     deg = sum(numer) - sum(denom)
     if deg < 0:
         raise InexactDivision("denominator degree exceeds numerator degree")
+    numer, denom = _cancel_common(numer, denom)
     full = [1]
     for a in numer:
         full = _dense.mul_binomial(full, a)
@@ -114,7 +159,7 @@ def sl2_character(n: int) -> LaurentPoly:
     return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
 
 
-def _g_chain(coeffs: list[int], offset: int, factors: tuple[int, ...]) -> tuple[list[int], int]:
+def _g_chain(coeffs: list[int], offset: int, factors: list[int]) -> tuple[list[int], int]:
     """Multiply a dense polynomial by prod g_n over factors, in linear passes:
     g_n = t**(1-n) (t**2n - 1)/(t**2 - 1)."""
     for n in factors:
@@ -130,27 +175,32 @@ def tensor_identity_check(rs: RootSystem, weight: DominantWeight,
 
     This is the character identity between the pullback representation
     tensored with the rho-factor and the (lambda+rho)-factor, checked as an
-    equality of Laurent polynomials.
+    equality of Laurent polynomials.  The g_n common to both sides cancel
+    first; each is nonzero, so the reduced identity holds exactly when the
+    full one does.
     """
     if pc is None:
         pc = principal_character(rs, weight)
+    numer, denom = _cancel_common(pc.numerator_exponents, pc.denominator_exponents)
     val, coeffs = pc.poly_t.dense()
-    lhs, off_l = _g_chain(coeffs, val, pc.denominator_exponents)
-    rhs, off_r = _g_chain([1], 0, pc.numerator_exponents)
+    lhs, off_l = _g_chain(coeffs, val, denom)
+    rhs, off_r = _g_chain([1], 0, numer)
     return off_l == off_r and lhs == rhs
 
 
 def explicit_zero_order(rs: RootSystem, weight: DominantWeight,
                         pc: PrincipalCharacter | None = None) -> int:
     """The order m = <2 lambda + 2 rho, beta^vee> at which the character is
-    guaranteed to vanish, beta^vee the highest coroot; the divisibility of
-    poly_t by Phi_m is asserted before returning."""
+    guaranteed to vanish, beta^vee the highest coroot; that Phi_m divides
+    poly_t, #{i : m | 2n'_i} > #{i : m | 2n_i}, is asserted before
+    returning."""
     if weight.is_zero():
         raise ZeroWeight("the trivial character never vanishes")
-    m = 2 * weight_pairings(rs, weight)[rs.highest_coroot_index]
-    if pc is None:
-        pc = principal_character(rs, weight)
-    if not divides_cyclotomic(pc.poly_t, m):
+    nprime = weight_pairings(rs, weight) if pc is None else pc.numerator_exponents
+    m = 2 * nprime[rs.highest_coroot_index]
+    mult = (sum(1 for a in nprime if 2 * a % m == 0)
+            - sum(1 for b in rs.rho_pairings if 2 * b % m == 0))
+    if mult <= 0:
         raise NonCyclotomicRemainder(f"Phi_{m} does not divide the character")
     return m
 
@@ -197,21 +247,28 @@ def prime_power_zero(numer: list[int], denom: list[int]) -> tuple[int, int]:
 
 
 def zero_orders(pc: PrincipalCharacter) -> list[tuple[int, int]]:
-    """Cyclotomic factorization of the character in its natural variable.
+    """Cyclotomic factorization of the character in its natural variable,
+    as (d, multiplicity of Phi_d) with d ascending.
 
     The indices are the orders of the group elements at which the character
     vanishes: orders of u = t**2 when the principal map kills -1, orders of
-    t itself otherwise.  The remainder must be a unit, else the character
-    failed to factor into cyclotomics, which theory forbids.
+    t itself otherwise.  The multiplicity of Phi_d is #{a : d | a} -
+    #{b : d | b}, a and b running over the numerator and denominator
+    exponents in the natural variable (n'_i and n_i in u, 2n'_i and 2n_i in
+    t), after the exponents common to both lists cancel; no polynomial is
+    factored.  A negative count means the character is not a product of
+    cyclotomics, which theory forbids.
     """
     if pc.weight.is_zero():
         raise ZeroWeight("the trivial character has no zeros")
-    cf = cyclo_factor(pc.natural_poly())
-    if not cf.remainder.is_unit_constant():
+    scale = 1 if pc.epsilon_trivial else 2
+    counts = _cyclotomic_counts([scale * a for a in pc.numerator_exponents],
+                                [scale * b for b in pc.denominator_exponents])
+    if any(m < 0 for m in counts.values()):
         raise NonCyclotomicRemainder(
-            f"non-cyclotomic remainder {cf.remainder} for {pc.type}, weight {pc.weight}"
+            f"negative cyclotomic multiplicity for {pc.type}, weight {pc.weight}"
         )
-    return list(cf.factors)
+    return sorted((d, m) for d, m in counts.items() if m)
 
 
 def t_orders(pc: PrincipalCharacter, orders: list[tuple[int, int]] | None = None) -> list[int]:

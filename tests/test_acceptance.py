@@ -163,8 +163,12 @@ def test_criterion_6_unit_remainder_suite(corpus):
         for lam, pc in entries:
             if lam.is_zero():
                 continue
-            orders = zero_orders(pc)  # raises NonCyclotomicRemainder on failure
-            assert orders, f"{name} {lam}: no cyclotomic factors"
+            # factor the dense polynomial independently of the exponent-count
+            # formula in zero_orders, then hold the formula to the factoring
+            cf = cyclo_factor(pc.natural_poly())
+            assert cf.remainder.is_unit_constant(), f"{name} {lam}: {cf.remainder}"
+            assert cf.factors, f"{name} {lam}: no cyclotomic factors"
+            assert list(cf.factors) == zero_orders(pc), f"{name} {lam}"
             checked += 1
     assert checked > 1500
     _ok(6, f"cyclotomic factorization has unit remainder for all {checked} "

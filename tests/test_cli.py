@@ -2,7 +2,7 @@ import json
 import pathlib
 import time
 
-from cyclochar.cli import MAX_SCHECK_EXPONENT, main
+from cyclochar.cli import MAX_PRINCIPAL_SPAN, MAX_RANK, MAX_SCHECK_EXPONENT, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -54,6 +54,31 @@ class TestPrincipal:
         code, _, err = run(capsys, "principal", "--type", "Q9", "--weight", "1")
         assert code == 3
 
+    def test_span_limit(self, capsys):
+        # E8 with all coordinates 100: span 2 * 101 * 1240 - 2 * 1240 = 248,000
+        start = time.perf_counter()
+        weight = ",".join(["100"] * 8)
+        code, out, err = run(capsys, "principal", "--type", "E8", "--weight", weight)
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and not out
+        assert err.startswith("error: ExponentTooLarge: degree span 248000")
+        assert str(MAX_PRINCIPAL_SPAN) in err and err.count("\n") == 1
+
+    def test_span_at_limit_passes_the_bound(self, capsys):
+        # A1 with weight n has span 2n
+        code, out, err = run(capsys, "principal", "--type", "A1", "--weight", "50000")
+        assert code == 0 and not err and "dimension: 50001" in out
+        code, out, err = run(capsys, "principal", "--type", "A1", "--weight", "50001")
+        assert code == 3 and "ExponentTooLarge" in err
+
+    def test_rank_limit(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "principal", "--type", f"A{MAX_RANK + 1}",
+                             "--weight", "adjoint")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and not out
+        assert "InvalidRank" in err and str(MAX_RANK) in err and err.count("\n") == 1
+
 
 class TestDim:
     def test_value(self, capsys):
@@ -63,6 +88,16 @@ class TestDim:
     def test_json(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "dim", "--type", "A2", "--weight", "1,1")
         assert json.loads(out)["dimension"] == 8
+
+    def test_rank_limit(self, capsys):
+        assert MAX_RANK == 64
+        code, out, _ = run(capsys, "dim", "--type", "A64", "--weight", "adjoint")
+        assert code == 0 and out.strip() == str(64 * 66)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dim", "--type", "A65", "--weight", "adjoint")
+        assert time.perf_counter() - start < 1.0
+        assert code == 3 and not out
+        assert err == "error: InvalidRank: rank 65 exceeds the limit rank <= 64\n"
 
 
 class TestCyclopoints:

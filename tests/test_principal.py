@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -22,6 +23,14 @@ from cyclochar.principal import (
     zero_orders,
 )
 from cyclochar.rootsys import CartanType, DominantWeight, adjoint_weight, build, weyl_dim
+
+ALL_TYPES = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"B{n}" for n in range(2, 9)]
+    + [f"C{n}" for n in range(2, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8", "F4", "G2"]
+)
 
 
 def rs(name):
@@ -81,6 +90,16 @@ class TestBinomialQuotient:
         with pytest.raises(InexactDivision):
             binomial_quotient([3], [2])
 
+    def test_cancelled_exponents_keep_inexact_quotients(self):
+        with pytest.raises(InexactDivision):
+            binomial_quotient([6], [4])
+        with pytest.raises(InexactDivision):
+            binomial_quotient([2, 6], [2, 4])
+
+    def test_cancellation_leaves_quotient_unchanged(self):
+        assert binomial_quotient([3, 6, 4], [3, 2]) == binomial_quotient([6, 4], [2])
+        assert binomial_quotient([5, 5], [5, 5]) == LaurentPoly.one()
+
     @given(st.lists(st.integers(1, 9), min_size=1, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_multiply_back(self, exponents):
@@ -116,6 +135,39 @@ class TestZeroOrders:
         pc = principal_character(rs("A1"), DominantWeight((0,)))
         with pytest.raises(ZeroWeight):
             zero_orders(pc)
+
+    def test_negative_count_rejected(self):
+        # (u^3 - 1)/(u^2 - 1) is no polynomial: Phi_2 would have multiplicity -1
+        pc = principal_character(rs("A2"), DominantWeight((1, 0)))
+        bad = dataclasses.replace(pc, numerator_exponents=(1, 1, 3),
+                                  denominator_exponents=(1, 1, 2))
+        with pytest.raises(NonCyclotomicRemainder):
+            zero_orders(bad)
+
+    def test_agrees_with_cyclo_factor_on_random_characters(self):
+        # the count formula against factoring the dense polynomial, in u
+        # where epsilon is trivial and in t where it is not
+        rng = random.Random(2024)
+        checked = nontrivial_epsilon = 0
+        for name in ALL_TYPES:
+            system = rs(name)
+            hi = 3 if system.rank <= 5 else 2
+            for _ in range(7):
+                lam = DominantWeight(tuple(rng.randint(0, hi) for _ in range(system.rank)))
+                if lam.is_zero():
+                    continue
+                pc = principal_character(system, lam)
+                cf = cyclo_factor(pc.natural_poly())
+                assert cf.remainder.is_unit_constant()
+                assert list(cf.factors) == zero_orders(pc), (name, lam)
+                checked += 1
+                nontrivial_epsilon += not pc.epsilon_trivial
+        for n in range(1, 16, 2):  # A1, odd weights: even-dimensional, in t
+            pc = principal_character(rs("A1"), DominantWeight((n,)))
+            assert list(cyclo_factor(pc.natural_poly()).factors) == zero_orders(pc)
+            checked += 1
+            nontrivial_epsilon += 1
+        assert checked >= 200 and nontrivial_epsilon >= 50
 
 
 class TestExplicitZeroOrder:
@@ -205,6 +257,15 @@ class TestTensorIdentity:
         for _ in range(10):
             lam = DominantWeight((rng.randint(0, 3), rng.randint(0, 3)))
             assert tensor_identity_check(system, lam)
+
+    def test_bumped_coefficient_fails(self):
+        for name, lam in (("A1", (2,)), ("G2", (1, 1)), ("B3", (0, 1, 2)), ("E6", (1,) * 6)):
+            system = rs(name)
+            pc = principal_character(system, DominantWeight(lam))
+            assert tensor_identity_check(system, pc.weight, pc)
+            for e in (min(pc.poly_t.coeffs), 0, max(pc.poly_t.coeffs)):
+                bumped = dataclasses.replace(pc, poly_t=pc.poly_t + LaurentPoly.term(1, e))
+                assert not tensor_identity_check(system, pc.weight, bumped), (name, e)
 
     def test_unit_remainder_small_sample(self):
         rng = random.Random(11)
