@@ -72,6 +72,11 @@ def _parse_weight(rs, text: str) -> DominantWeight:
         raise CycloCharError(
             f"weight has {len(coords)} coordinates, {rs.type} has rank {rs.rank}"
         )
+    for i, c in enumerate(coords, 1):
+        if c < 0:
+            raise CycloCharError(
+                f"weight coordinate {i} is {c}; a dominant weight needs coordinates >= 0"
+            )
     return DominantWeight(coords)
 
 

@@ -10,6 +10,7 @@ its real roots on [-1, 1]; nothing is ever decided by floating point.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 from . import realroots
@@ -172,21 +173,30 @@ def su2_decompose(f: SymmetricLaurent | LaurentPoly) -> int:
     Requires positivity on the circle and mean 1 (else NotAnSCharacter);
     f * (-t**-2 + 2 - t**2) must then be -t**-2n + 2 - t**2n for some n
     (else NotASquare), and f = g_n**2 is verified by exact squaring.
+
+    The exact identity is tried before the positivity decision: g_n is
+    symmetric with integer coefficients, so it is real on the circle and
+    g_n**2 >= 0 there, which makes the Sturm check redundant once f = g_n**2
+    holds.  Errors keep their precedence: a wrong mean, then a failed
+    positivity check (NotAnSCharacter), then the form test and then the
+    verification (NotASquare).
     """
     f = _coerce(f)
     if su2_mean(f) != 1:
         raise NotAnSCharacter(f"mean is {su2_mean(f)}, not 1")
-    if not is_positive_on_circle(f):
-        raise NotAnSCharacter("not positive on the unit circle")
     big = f.poly * g_minus(2)
     m = big.max_exp
-    if big != g_minus(m) or m % 2:
-        raise NotASquare("f * (-t^-2 + 2 - t^2) is not of the form -t^-2n + 2 - t^2n")
+    is_form = big == g_minus(m) and not m % 2
     n = m // 2
-    g = sl2_character(n)
-    if f.poly != g * g:
-        raise NotASquare(f"verification f = g_{n}^2 failed")
-    return n
+    if is_form:
+        g = sl2_character(n)
+        if f.poly == g * g:
+            return n
+    if not is_positive_on_circle(f):
+        raise NotAnSCharacter("not positive on the unit circle")
+    if not is_form:
+        raise NotASquare("f * (-t^-2 + 2 - t^2) is not of the form -t^-2n + 2 - t^2n")
+    raise NotASquare(f"verification f = g_{n}^2 failed")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -247,12 +257,25 @@ def torus_reject(f: dict[tuple[int, ...], int]) -> TorusRejection:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=128)
+def _largest_cos_root(modulus: int) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """(psi, lo, hi): the minimal polynomial psi of s = 2 cos(2 pi/N) and
+    an isolating interval (lo, hi) of s, its largest real root."""
+    psi = realroots.from_ints(cos_minimal_poly(modulus))
+    intervals = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))
+    lo, hi = intervals[-1]
+    return tuple(psi), lo, hi
+
+
 def cyclo_sign(v: CycloElement) -> int:
     """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N).
 
     Rational values short-circuit; otherwise the value is rewritten as a
     rational polynomial in s = 2 cos(2 pi/N) and its sign is read off at the
-    largest real root of the minimal polynomial of s.
+    largest real root of the minimal polynomial of s.  That polynomial and
+    the root's isolating interval depend on N alone, so they are computed
+    once per modulus and kept in a bounded memo (the 128 most recent moduli);
+    each value then costs one refinement of that interval.
     """
     if v.is_zero():
         return 0
@@ -273,9 +296,7 @@ def cyclo_sign(v: CycloElement) -> int:
             coeffs.append(Fraction(0))
         for i, b in enumerate(basis):
             coeffs[i] += Fraction(c, 2) * b
-    psi = realroots.from_ints(cos_minimal_poly(v.modulus))
-    intervals = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))
-    lo, hi = intervals[-1]  # 2cos(2 pi/N) is the largest root
+    psi, lo, hi = _largest_cos_root(v.modulus)
     return realroots.sign_at_unique_root(coeffs, psi, lo, hi)
 
 

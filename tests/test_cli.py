@@ -54,6 +54,13 @@ class TestPrincipal:
         code, _, err = run(capsys, "principal", "--type", "Q9", "--weight", "1")
         assert code == 3
 
+    def test_negative_weight(self, capsys):
+        code, out, err = run(capsys, "principal", "--type", "A2", "--weight=-1,0")
+        assert code == 3 and not out
+        assert err == ("error: CycloCharError: weight coordinate 1 is -1; "
+                       "a dominant weight needs coordinates >= 0\n")
+        assert "Traceback" not in err
+
     def test_span_limit(self, capsys):
         # E8 with all coordinates 100: span 2 * 101 * 1240 - 2 * 1240 = 248,000
         start = time.perf_counter()
@@ -98,6 +105,13 @@ class TestDim:
         assert time.perf_counter() - start < 1.0
         assert code == 3 and not out
         assert err == "error: InvalidRank: rank 65 exceeds the limit rank <= 64\n"
+
+    def test_negative_weight(self, capsys):
+        code, out, err = run(capsys, "dim", "--type", "B3", "--weight", "0,2,-3")
+        assert code == 3 and not out
+        assert err == ("error: CycloCharError: weight coordinate 3 is -3; "
+                       "a dominant weight needs coordinates >= 0\n")
+        assert "Traceback" not in err
 
 
 class TestCyclopoints:

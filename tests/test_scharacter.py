@@ -1,22 +1,26 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclochar import realroots
 from cyclochar.errors import (
     HypothesisViolated,
     InconsistentClassData,
     IsTrivial,
     NotAnSCharacter,
+    NotASquare,
     NotClassifiable,
     NotSymmetric,
 )
-from cyclochar.laurent import CycloElement, LaurentPoly
+from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_minimal_poly
 from cyclochar.parsing import parse_univariate
 from cyclochar.principal import sl2_character
 from cyclochar.scharacter import (
     FiniteClassFunction,
+    _largest_cos_root,
     SymmetricLaurent,
     classify_a0_2,
     cyclo_sign,
@@ -240,6 +244,62 @@ class TestSU2:
             g = sl2_character(n)
             assert su2_decompose(SymmetricLaurent(g * g)) == n
 
+    @staticmethod
+    def decompose_positivity_first(f: SymmetricLaurent) -> int:
+        """Reference: the decision order that runs the positivity check
+        before the exact square test."""
+        if su2_mean(f) != 1:
+            raise NotAnSCharacter(f"mean is {su2_mean(f)}, not 1")
+        if not is_positive_on_circle(f):
+            raise NotAnSCharacter("not positive on the unit circle")
+        big = f.poly * g_minus(2)
+        m = big.max_exp
+        if big != g_minus(m) or m % 2:
+            raise NotASquare("f * (-t^-2 + 2 - t^2) is not of the form -t^-2n + 2 - t^2n")
+        n = m // 2
+        g = sl2_character(n)
+        if f.poly != g * g:
+            raise NotASquare(f"verification f = g_{n}^2 failed")
+        return n
+
+    @staticmethod
+    def outcome(decompose, f):
+        try:
+            return "ok", decompose(f)
+        except (NotAnSCharacter, NotASquare) as exc:
+            return type(exc).__name__, str(exc)
+
+    def test_outcomes_match_positivity_first_order(self):
+        squares = [sl2_character(n) * sl2_character(n) for n in range(1, 13)]
+        corpus = [SymmetricLaurent(sq) for sq in squares]
+        rng = random.Random(44)
+        for sq in squares:
+            pairs = range(1, sq.max_exp + 3)
+            for e in rng.sample(pairs, min(3, len(pairs))):
+                for d in (1, -1):
+                    corpus.append(SymmetricLaurent(sq + LaurentPoly({e: d, -e: d})))
+        for _ in range(300):
+            a0 = rng.randint(1, 6)
+            coeffs = {0: a0, 2: a0 - 1, -2: a0 - 1}
+            for e in rng.sample([1, 3, 4, 5, 6, 7, 8], rng.randint(0, 4)):
+                coeffs[e] = coeffs[-e] = rng.randint(-3, 3)
+            corpus.append(SymmetricLaurent(coeffs))
+        outcomes = []
+        for f in corpus:
+            got = self.outcome(su2_decompose, f)
+            assert got == self.outcome(self.decompose_positivity_first, f), str(f)
+            outcomes.append(got[0])
+        # both the return path and the positivity rejection are exercised
+        assert outcomes.count("ok") > len(squares)
+        assert outcomes.count("NotAnSCharacter") > 300
+
+    def test_squares_decided_positive_by_sturm(self):
+        # su2_decompose accepts squares without the positivity decision, so
+        # the high-degree Sturm path is checked here directly
+        for n in (10, 25, 50):
+            g = sl2_character(n)
+            assert is_positive_on_circle(g * g)
+
 
 class TestTorusReject:
     def test_basic_rank_two(self):
@@ -304,6 +364,63 @@ class TestCycloSign:
                 approx = 2 * approx.real
                 if abs(approx) > 1e-6:
                     assert cyclo_sign(v) == (1 if approx > 0 else -1)
+
+
+class TestCycloSignMemo:
+    @staticmethod
+    def fresh_signs(modulus: int, values: list[CycloElement]) -> list[int]:
+        """Signs at 2cos(2 pi/N) from a fresh isolation, without the memo."""
+        psi = realroots.from_ints(cos_minimal_poly(modulus))
+        lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
+        signs = []
+        for v in values:
+            # v = c_0 + sum_j c_j (z^j + z^-j) / 2 = c_0 + sum_j c_j q_j(s) / 2
+            coeffs = [Fraction(v.residue[0])] + [Fraction(0)] * modulus
+            for j, c in enumerate(v.residue[1:], 1):
+                for i, b in enumerate(cos_basis(j)):
+                    coeffs[i] += Fraction(c * b, 2)
+            signs.append(realroots.sign_at_unique_root(coeffs, psi, lo, hi))
+        return signs
+
+    @staticmethod
+    def real_values(modulus: int, rng: random.Random) -> list[CycloElement]:
+        """Seeded real, non-rational values at one modulus."""
+        values = []
+        for _ in range(2):
+            p = LaurentPoly({e: rng.randint(-2, 2) for e in range(rng.randint(1, 4))})
+            v = CycloElement.from_laurent(p, modulus)
+            values.append(v * v.conjugate())  # |P(z)|^2
+        for _ in range(2):
+            k = rng.randint(1, modulus - 1)
+            c = rng.randint(-2, 2)
+            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: -c}), modulus))
+        return [v for v in values if not v.is_rational()]
+
+    def test_memo_matches_fresh_isolation_in_any_order(self):
+        rng = random.Random(7)
+        moduli = list(range(3, 61))
+        values = {n: self.real_values(n, rng) for n in moduli}
+        expected = {n: self.fresh_signs(n, values[n]) for n in moduli}
+        assert sum(map(len, values.values())) > 150
+        assert {-1, 1} <= {s for signs in expected.values() for s in signs}
+        shuffled = list(moduli)
+        rng.shuffle(shuffled)
+        for order in (moduli, shuffled):
+            _largest_cos_root.cache_clear()
+            for n in order:
+                assert [cyclo_sign(v) for v in values[n]] == expected[n], n
+
+    def test_one_isolation_per_modulus(self):
+        modulus = 13
+        values = []
+        for i in range(20):
+            k = 1 + i % 6
+            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: i % 3}), modulus))
+        assert not any(v.is_rational() for v in values)
+        _largest_cos_root.cache_clear()
+        finite_s_check(FiniteClassFunction((1,) * 20, tuple(values)))
+        info = _largest_cos_root.cache_info()
+        assert (info.misses, info.hits) == (1, 19)
 
 
 class TestFiniteSCheck:
