@@ -4,12 +4,15 @@ A polynomial is a list of int coefficients, index = exponent, no sign or
 sparsity tricks.  These loops back every exact-arithmetic path in the
 package, so they stay free of object wrappers; the itertools.accumulate
 recurrences keep the binomial multiply/divide passes at C speed, which is
-what makes the rank-8 sweeps affordable.
+what makes the rank-8 sweeps affordable.  Horner evaluation, the Z[x] gcd
+and exact division live here only; the one Q[x] remainder the package
+needs is the Sturm step in realroots.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 
 from .errors import InexactDivision
@@ -137,7 +140,8 @@ def divides(b: list[int], a: list[int]) -> bool:
     return not r
 
 
-def eval_int(p: list[int], s: int) -> int:
+def evaluate(p: list, s):
+    """p(s) by Horner's rule, for int or Fraction coefficients and points."""
     v = 0
     for c in reversed(p):
         v = v * s + c
@@ -151,3 +155,47 @@ def fold(p: list[int], d: int) -> list[int]:
         if c:
             out[j % d] += c
     return out
+
+
+def content(p: list[int]) -> int:
+    g = 0
+    for c in p:
+        g = math.gcd(g, c)
+    return g
+
+
+def gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd in Z[x] (primitive PRS), normalized to positive leading coefficient."""
+    a, b = list(a), list(b)
+    if not a:
+        out = b
+    elif not b:
+        out = a
+    else:
+        ca, cb = content(a), content(b)
+        a = [c // ca for c in a]
+        b = [c // cb for c in b]
+        while b:
+            r = prem(a, b)
+            cr = content(r)
+            a, b = b, ([c // cr for c in r] if cr else [])
+        out = [c * math.gcd(ca, cb) // content(a) for c in a]
+    if out and out[-1] < 0:
+        out = [-c for c in out]
+    return out
+
+
+def prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of a by b over Z."""
+    r = list(a)
+    lb = b[-1]
+    db = len(b) - 1
+    trim(r)
+    while r and len(r) - 1 >= db:
+        lead = r[-1]
+        shift = len(r) - 1 - db
+        r = [c * lb for c in r]
+        for j, bc in enumerate(b):
+            r[shift + j] -= lead * bc
+        trim(r)
+    return r

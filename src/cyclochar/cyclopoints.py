@@ -63,55 +63,11 @@ def seven_variants(h: BiLaurentPoly) -> list[BiLaurentPoly]:
 # ---------------------------------------------------------------------------
 
 
-def _int_content(p: list[int]) -> int:
-    g = 0
-    for c in p:
-        g = math.gcd(g, c)
-    return g
-
-
-def _gcd_int_poly(a: list[int], b: list[int]) -> list[int]:
-    """Gcd in Z[x] (primitive PRS), normalized to positive leading coefficient."""
-    a, b = list(a), list(b)
-    if not a:
-        out = b
-    elif not b:
-        out = a
-    else:
-        ca, cb = _int_content(a), _int_content(b)
-        a = [c // ca for c in a]
-        b = [c // cb for c in b]
-        while b:
-            r = _prem_int(a, b)
-            cr = _int_content(r)
-            a, b = b, ([c // cr for c in r] if cr else [])
-        out = [c * math.gcd(ca, cb) // _int_content(a) for c in a]
-    if out and out[-1] < 0:
-        out = [-c for c in out]
-    return out
-
-
-def _prem_int(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b over Z."""
-    r = list(a)
-    lb = b[-1]
-    db = len(b) - 1
-    _dense.trim(r)
-    while r and len(r) - 1 >= db:
-        lead = r[-1]
-        shift = len(r) - 1 - db
-        r = [c * lb for c in r]
-        for j, bc in enumerate(b):
-            r[shift + j] -= lead * bc
-        _dense.trim(r)
-    return r
-
-
 def _rows_content(rows: list[list[int]]) -> list[int]:
     g: list[int] = []
     for row in rows:
         if row:
-            g = _gcd_int_poly(g, row)
+            g = _dense.gcd(g, row)
         if g == [1]:
             break
     return g
@@ -169,7 +125,7 @@ def bivariate_gcd(h: BiLaurentPoly, g: BiLaurentPoly) -> BiLaurentPoly:
         a, b = b, _rows_pp(r, cr)
     if len(a) == 1:
         a = [[1]]  # a y-free primitive part has trivial gcd contribution in y
-    cont = _gcd_int_poly(cont_a, cont_b)
+    cont = _dense.gcd(cont_a, cont_b)
     rows = [_dense.mul(cont, c) if c else [] for c in a]
     out: dict[tuple[int, int], int] = {}
     for j, row in enumerate(rows):

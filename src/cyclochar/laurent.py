@@ -162,11 +162,6 @@ class LaurentPoly(_SparsePoly):
     def is_monomial(self) -> bool:
         return len(self._c) == 1
 
-    def constant_value(self) -> int:
-        if not self.is_constant():
-            raise ValueError("not a constant polynomial")
-        return self._c.get(0, 0)
-
     @property
     def min_exp(self) -> int:
         if not self._c:
@@ -178,10 +173,6 @@ class LaurentPoly(_SparsePoly):
         if not self._c:
             raise ZeroPolynomial("zero polynomial has no degree")
         return max(self._c)
-
-    def degree_span(self) -> int:
-        """max_exp - min_exp, the degree after stripping the monomial shift."""
-        return self.max_exp - self.min_exp
 
     def dense(self) -> tuple[int, list[int]]:
         """(valuation, coefficient list from the valuation up); ((0, []) for 0)."""
@@ -327,20 +318,32 @@ def cyclo_index_limit(max_degree: int) -> int:
     return hard
 
 
+def _mobius_binomials(d: int) -> list[tuple[int, int]]:
+    """The pairs (e, mu(d/e)) over the divisors e of d with d/e squarefree,
+    so that Phi_d = prod (t**e - 1)**mu(d/e)."""
+    pairs = [(d, 1)]
+    for p in prime_factors(d):
+        pairs += [(e // p, -mu) for e, mu in pairs]
+    return pairs
+
+
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> LaurentPoly:
     """The d-th cyclotomic polynomial Phi_d, monic of degree phi(d).
 
-    Computed by exact division of t**d - 1 by the product of the Phi_e over
-    proper divisors e of d.
+    Computed from the Moebius product over binomials t**e - 1: every
+    multiplication first, then the exact divisions, each a linear pass.
     """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = [-1] + [0] * (d - 1) + [1]
-    for e in range(1, d):
-        if d % e == 0:
-            _, q = cyclotomic(e).dense()
-            p = _dense.divexact(p, q)
+    pairs = _mobius_binomials(d)
+    p = [1]
+    for e, mu in pairs:
+        if mu > 0:
+            p = _dense.mul_binomial(p, e)
+    for e, mu in pairs:
+        if mu < 0:
+            p = _dense.divexact_binomial(p, e)
     return LaurentPoly.from_dense(0, p)
 
 
@@ -384,9 +387,6 @@ class CycloFactorization:
             out = out * cyclotomic(d) ** mult
         return out * self.remainder
 
-    def is_unit_remainder(self) -> bool:
-        return self.remainder.is_unit_constant()
-
 
 _CYCLO_AT_CACHE: dict[tuple[int, int], int] = {}
 
@@ -398,23 +398,11 @@ def _cyclotomic_at(d: int, s: int) -> int:
     except KeyError:
         pass
     num, den = 1, 1
-    primes = prime_factors(d)
-    for mask in range(1 << len(primes)):
-        q = 1
-        bits = 0
-        mm = mask
-        i = 0
-        while mm:
-            if mm & 1:
-                q *= primes[i]
-                bits += 1
-            mm >>= 1
-            i += 1
-        val = s ** (d // q) - 1
-        if bits % 2 == 0:
-            num *= val
+    for e, mu in _mobius_binomials(d):
+        if mu > 0:
+            num *= s ** e - 1
         else:
-            den *= val
+            den *= s ** e - 1
     out = num // den
     _CYCLO_AT_CACHE[(d, s)] = out
     return out
@@ -433,7 +421,7 @@ def _cyclo_divisors_once(p: list[int], candidates: list[int] | None) -> list[int
         candidates = range(1, cyclo_index_limit(deg) + 1)
     points = []
     for s in (2, 3, 5, 7, 11):
-        v = _dense.eval_int(p, s)
+        v = _dense.evaluate(p, s)
         if v:
             points.append((s, abs(v)))
         if len(points) == 2:
@@ -541,9 +529,6 @@ class BiLaurentPoly(_SparsePoly):
                 c = -c
             out[(i * x_pow, j * y_pow)] = c
         return BiLaurentPoly(out)
-
-    def swap_variables(self) -> BiLaurentPoly:
-        return BiLaurentPoly({(j, i): c for (i, j), c in self._c.items()})
 
     def restrict(self, a: int, b: int) -> LaurentPoly:
         """Substitute x -> t**a, y -> t**b."""
@@ -800,11 +785,28 @@ def cos_basis(j: int) -> tuple[int, ...]:
     return basis[j]
 
 
+def cos_expand(a) -> list[int]:
+    """Coefficients in s = z + 1/z of a[0] + sum_{j >= 1} a[j] q_j(s), trimmed.
+
+    The map is linear, so a positive multiple of a expands to the same
+    multiple of the result, which has the same sign at every s.
+    """
+    out = [0] * len(a)
+    if a:
+        out[0] = a[0]
+    for j in range(1, len(a)):
+        c = a[j]
+        if c:
+            for i, q in enumerate(cos_basis(j)):
+                out[i] += c * q
+    return _dense.trim(out)
+
+
 def cos_minimal_poly(n: int) -> tuple[int, ...]:
     """Dense coefficients of the minimal polynomial of 2*cos(2*pi/n).
 
-    For n >= 3 it is extracted from the palindromic Phi_n in the basis
-    q_j(s) of cos_basis; monic of degree phi(n)/2.
+    For n >= 3 it is the cos_expand of the upper half of the palindromic
+    Phi_n; monic of degree phi(n)/2.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -813,10 +815,4 @@ def cos_minimal_poly(n: int) -> tuple[int, ...]:
     if n == 2:
         return (2, 1)
     _, a = cyclotomic(n).dense()
-    k = (len(a) - 1) // 2
-    out = [0] * (k + 1)
-    out[0] = a[k]
-    for j in range(1, k + 1):
-        for i, c in enumerate(cos_basis(j)):
-            out[i] += a[k + j] * c
-    return tuple(out)
+    return tuple(cos_expand(a[(len(a) - 1) // 2:]))

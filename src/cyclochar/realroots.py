@@ -1,72 +1,72 @@
 """Exact real-root isolation and sign analysis over the rationals.
 
-Dense polynomials with Fraction coefficients, Sturm chains, bisection with
-non-root rational endpoints throughout, so every sign decision is exact.
+Dense polynomials with int or Fraction coefficients: squarefree parts are
+integer lists from the Z[x] kernels of _dense, Sturm chains run over Q, and
+bisection keeps non-root rational endpoints throughout, so every sign
+decision is exact.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import _dense
 
 
-def from_ints(p) -> list[Fraction]:
-    return _dense.trim([Fraction(c) for c in p])
+evaluate = _dense.evaluate
 
 
-def evaluate(p: list[Fraction], x: Fraction) -> Fraction:
-    v = Fraction(0)
-    for c in reversed(p):
-        v = v * x + c
-    return v
-
-
-def derivative(p: list[Fraction]) -> list[Fraction]:
+def derivative(p: list) -> list:
     return _dense.trim([i * c for i, c in enumerate(p)][1:])
 
 
-def _divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _rem(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    """Remainder of a by b over Q, the one Q[x] division here.
+
+    Both lists must hold Fractions: with ints, c = r[-1] / lead would be a
+    float.
+    """
     r = list(a)
-    _dense.trim(r)
-    q = [Fraction(0)] * max(len(r) - len(b) + 1, 0)
     lead = b[-1]
-    while r and len(r) >= len(b):
+    while len(r) >= len(b):
         c = r[-1] / lead
         k = len(r) - len(b)
-        q[k] = c
         for i, d in enumerate(b):
             r[k + i] -= c * d
         _dense.trim(r)
-    return _dense.trim(q), r
+    return r
 
 
-def gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a, b = _dense.trim(list(a)), _dense.trim(list(b))
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
+def squarefree(p: list) -> list[int]:
+    """The squarefree part of p (int or Fraction coefficients) as an int list.
+
+    Denominators are cleared by their positive lcm, and the result is that
+    integer polynomial divided exactly by its Z[x] gcd with its derivative,
+    whose leading coefficient is positive; it is therefore a positive
+    rational multiple of p / (monic gcd(p, p')), with the same roots and
+    the same sign at every point.
+    """
+    den = 1
+    for c in p:
+        den = math.lcm(den, c.denominator)
+    ints = _dense.trim([c.numerator * (den // c.denominator) for c in p])
+    if len(ints) <= 1:
+        return ints
+    return _dense.divexact(ints, _dense.gcd(ints, derivative(ints)))
 
 
-def squarefree(p: list[Fraction]) -> list[Fraction]:
-    if len(p) <= 1:
-        return list(p)
-    g = gcd(p, derivative(p))
-    if len(g) == 1:
-        return list(p)
-    q, _ = _divmod(p, g)
-    return q
+def sturm_chain(p: list) -> list[list[Fraction]]:
+    """The Sturm chain p, p', -rem(p, p'), ... as Fraction lists.
 
-
-def sturm_chain(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [_dense.trim(list(p)), derivative(p)]
+    Remainders are linear in the scale of their inputs, so the chain of a
+    positive multiple of p is the same multiple of p's chain: it gives the
+    same sign variations at every point.
+    """
+    head = [Fraction(c) for c in _dense.trim(list(p))]
+    chain = [head, derivative(head)]
     while chain[-1]:
-        _, r = _divmod(chain[-2], chain[-1])
-        chain.append([-c for c in r])
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
     chain.pop()
     return chain
 
@@ -85,7 +85,7 @@ def count_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, lo) - _variations(chain, hi)
 
 
-def _nonroot_between(q: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
+def _nonroot_between(q: list, a: Fraction, b: Fraction) -> Fraction:
     """A rational point strictly inside (a, b) that is not a root of q."""
     k = 2
     while True:
@@ -95,14 +95,14 @@ def _nonroot_between(q: list[Fraction], a: Fraction, b: Fraction) -> Fraction:
         k += 1
 
 
-def isolate_roots(p: list[Fraction], lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
+def isolate_roots(p: list, lo: Fraction, hi: Fraction) -> list[tuple[Fraction, Fraction]]:
     """Pairwise separated intervals with non-root rational endpoints, each
     containing exactly one root of p, jointly all roots in (lo, hi), and
     none touching lo, hi or each other.
 
     Requires p(lo) != 0 and p(hi) != 0; p need not be squarefree.
     """
-    q = squarefree(_dense.trim([Fraction(c) for c in p]))
+    q = squarefree(p)
     if len(q) <= 1:
         return []
     if evaluate(q, lo) == 0 or evaluate(q, hi) == 0:
@@ -151,7 +151,7 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
     intervals and matches the nearer endpoint inside them, so evaluating p
     at the interval ends and at every isolating endpoint decides the claim.
     """
-    p = _dense.trim([Fraction(c) for c in p])
+    p = _dense.trim(list(p))
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -161,8 +161,10 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
         return (True, None) if p[0] >= 0 else (False, (lo, hi))
     q = squarefree(p)
     for end in (lo, hi):
-        while len(q) > 1 and evaluate(q, end) == 0:
-            q, _ = _divmod(q, [-end, Fraction(1)])
+        # q is squarefree, so a root at an end is simple; dividing by the
+        # primitive d*x - n is exact over Z by Gauss's lemma
+        if len(q) > 1 and evaluate(q, end) == 0:
+            q = _dense.divexact(q, [-end.numerator, end.denominator])
     intervals = isolate_roots(q, lo, hi) if len(q) > 1 else []
     # bounds[0] = lo, then isolating endpoints in order, bounds[-1] = hi;
     # even indices open a root-free gap, odd indices close one.
@@ -183,15 +185,15 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
     return True, None
 
 
-def sign_at_unique_root(f, q: list[Fraction], lo: Fraction, hi: Fraction) -> int:
+def sign_at_unique_root(f, q: list, lo: Fraction, hi: Fraction) -> int:
     """Sign of f at the single root xi of q inside (lo, hi), given f(xi) != 0.
 
     q must be squarefree with exactly one root there (so it changes sign);
     the interval is narrowed until f is root-free and of constant sign on it.
     """
-    f = _dense.trim([Fraction(c) for c in f])
+    f = _dense.trim(list(f))
     if len(f) <= 1:
-        v = f[0] if f else Fraction(0)
+        v = f[0] if f else 0
         return (v > 0) - (v < 0)
     f_chain = sturm_chain(squarefree(f))
     s_lo = evaluate(q, lo)

@@ -23,7 +23,7 @@ from .errors import (
     NotClassifiable,
     NotSymmetric,
 )
-from .laurent import CycloElement, LaurentPoly, cos_basis, cos_minimal_poly
+from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly
 from .parsing import parse_univariate
 from .principal import sl2_character
 
@@ -70,16 +70,9 @@ class SymmetricLaurent:
         if self.poly.is_zero():
             return []
         top = max(self.poly.max_exp, 0)
-        out = [0] * (top + 1)
-        out[0] = self.a(0)
-        for n in range(1, top + 1):
-            c = self.a(n)
-            if c:  # 2 T_n(x) = q_n(2x), so coefficient i of q_n scales by 2**i
-                for i, q in enumerate(cos_basis(n)):
-                    out[i] += c * q << i
-        while out and out[-1] == 0:
-            out.pop()
-        return out
+        s_coeffs = cos_expand([self.a(n) for n in range(top + 1)])
+        # s = 2 cos theta, so the coefficient of s**i scales by 2**i
+        return [c << i for i, c in enumerate(s_coeffs)]
 
 
 def _coerce(f: SymmetricLaurent | LaurentPoly | dict) -> SymmetricLaurent:
@@ -258,20 +251,19 @@ def torus_reject(f: dict[tuple[int, ...], int]) -> TorusRejection:
 
 
 @functools.lru_cache(maxsize=128)
-def _largest_cos_root(modulus: int) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
-    """(psi, lo, hi): the minimal polynomial psi of s = 2 cos(2 pi/N) and
-    an isolating interval (lo, hi) of s, its largest real root."""
-    psi = realroots.from_ints(cos_minimal_poly(modulus))
-    intervals = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))
-    lo, hi = intervals[-1]
-    return tuple(psi), lo, hi
+def _largest_cos_root(modulus: int) -> tuple[tuple[int, ...], Fraction, Fraction]:
+    """(psi, lo, hi): the integer minimal polynomial psi of s = 2 cos(2 pi/N)
+    and an isolating interval (lo, hi) of s, its largest real root."""
+    psi = cos_minimal_poly(modulus)
+    lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
+    return psi, lo, hi
 
 
 def cyclo_sign(v: CycloElement) -> int:
     """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N).
 
-    Rational values short-circuit; otherwise the value is rewritten as a
-    rational polynomial in s = 2 cos(2 pi/N) and its sign is read off at the
+    Rational values short-circuit; otherwise twice the value is rewritten as
+    an integer polynomial in s = 2 cos(2 pi/N) and its sign is read off at the
     largest real root of the minimal polynomial of s.  That polynomial and
     the root's isolating interval depend on N alone, so they are computed
     once per modulus and kept in a bounded memo (the 128 most recent moduli);
@@ -284,20 +276,11 @@ def cyclo_sign(v: CycloElement) -> int:
     if v.is_rational():
         r = v.rational_value()
         return 1 if r > 0 else -1
-    coeffs = [Fraction(0)]
-    for j, c in enumerate(v.residue):
-        if not c:
-            continue
-        if j == 0:
-            coeffs[0] += c
-            continue
-        basis = cos_basis(j)
-        while len(coeffs) < len(basis):
-            coeffs.append(Fraction(0))
-        for i, b in enumerate(basis):
-            coeffs[i] += Fraction(c, 2) * b
+    # v is real, so v = (v + conj v)/2 and 2v = 2c_0 + sum_j c_j q_j(s)
+    c = v.residue
+    two_v = cos_expand([2 * c[0], *c[1:]])
     psi, lo, hi = _largest_cos_root(v.modulus)
-    return realroots.sign_at_unique_root(coeffs, psi, lo, hi)
+    return realroots.sign_at_unique_root(two_v, psi, lo, hi)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,11 +1,17 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclochar import _dense
 from cyclochar.laurent import (
     BiLaurentPoly,
     CycloElement,
     LaurentPoly,
+    _cyclotomic_at,
+    cos_basis,
+    cos_expand,
     cos_minimal_poly,
     cyclo_factor,
     cyclo_index_limit,
@@ -332,3 +338,55 @@ class TestCosMinimalPoly:
             s = 2 * math.cos(2 * math.pi / n)
             value = sum(c * s ** i for i, c in enumerate(coeffs))
             assert abs(value) < 1e-9
+
+
+@functools.lru_cache(maxsize=None)
+def _ref_cyclotomic(d):
+    """Phi_d by the recursion the Moebius product replaced: exact division
+    of t**d - 1 by Phi_e for every proper divisor e."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p = _dense.divexact(p, list(_ref_cyclotomic(e)))
+    return tuple(p)
+
+
+class TestMobiusCyclotomic:
+    def test_matches_divisor_recursion(self):
+        for d in range(1, 301):
+            assert cyclotomic(d).dense() == (0, list(_ref_cyclotomic(d))), d
+
+    def test_integer_points(self):
+        for d in range(1, 200):
+            for s in (2, 3, 5):
+                assert _cyclotomic_at(d, s) == _dense.evaluate(_ref_cyclotomic(d), s)
+
+    def test_large_index_is_one_build(self):
+        cyclotomic.cache_clear()
+        phi = cyclotomic(10002)
+        assert cyclotomic.cache_info().misses == 1
+        assert phi.min_exp == 0 and phi.max_exp == euler_phi(10002)
+        assert phi.coefficient(euler_phi(10002)) == 1
+
+
+class TestCosExpand:
+    def test_minimal_poly_matches_old_loop(self):
+        for n in range(3, 81):
+            a = _ref_cyclotomic(n)
+            k = (len(a) - 1) // 2
+            out = [0] * (k + 1)
+            out[0] = a[k]
+            for j in range(1, k + 1):
+                for i, c in enumerate(cos_basis(j)):
+                    out[i] += a[k + j] * c
+            assert cos_minimal_poly(n) == tuple(out), n
+
+    def test_linear_and_trimmed(self):
+        assert cos_expand([]) == []
+        assert cos_expand([0, 0]) == []
+        assert cos_expand([2, 0, 1]) == [0, 0, 1]  # 2 + z^2 + z^-2 = s^2
+        assert cos_expand([3, 0, 0, 0, 0, 1]) == [3] + list(cos_basis(5)[1:])
+        a, b = [1, -2, 0, 3], [4, 1, 1]
+        total = [x + y for x, y in zip(a, b + [0])]
+        assert cos_expand(total) == _dense.add(cos_expand(a), cos_expand(b))
+        assert cos_expand([5 * c for c in a]) == [5 * c for c in cos_expand(a)]

@@ -1,11 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclochar import realroots
+from cyclochar import _dense, realroots
 from cyclochar.laurent import cos_basis, cos_minimal_poly
 
 F = Fraction
@@ -103,7 +104,7 @@ class TestNonneg:
 class TestSignAtRoot:
     def test_golden_ratio_field(self):
         # xi = 2cos(2pi/5), minimal polynomial s^2 + s - 1
-        psi = realroots.from_ints(cos_minimal_poly(5))
+        psi = cos_minimal_poly(5)
         intervals = realroots.isolate_roots(psi, F(-2), F(2))
         lo, hi = intervals[-1]
         # xi ~ 0.618: s^2 evaluates positive, s - 1 negative, 2s - 1 positive
@@ -118,7 +119,7 @@ class TestSignAtRoot:
 
     def test_agrees_with_float(self):
         for n in (7, 9, 11, 13):
-            psi = realroots.from_ints(cos_minimal_poly(n))
+            psi = cos_minimal_poly(n)
             lo, hi = realroots.isolate_roots(psi, F(-2), F(2))[-1]
             xi = 2 * math.cos(2 * math.pi / n)
             for target in (poly(-1, 1, 1), poly(2, -3), poly(0, 0, 0, 1)):
@@ -147,3 +148,117 @@ class TestChebyshev:
                 lhs = 2 * math.cos(n * theta)
                 rhs = sum(c * (2 * math.cos(theta)) ** i for i, c in enumerate(coeffs))
                 assert abs(lhs - rhs) < 1e-9
+
+
+class TestGcdFold:
+    """squarefree and sturm_chain run on the Z[x] gcd of _dense; the Q[x]
+    Euclid they replaced is kept inline here as the reference."""
+
+    @staticmethod
+    def ref_divmod(a, b):
+        r = list(a)
+        _dense.trim(r)
+        q = [F(0)] * max(len(r) - len(b) + 1, 0)
+        lead = b[-1]
+        while r and len(r) >= len(b):
+            c = r[-1] / lead
+            k = len(r) - len(b)
+            q[k] = c
+            for i, d in enumerate(b):
+                r[k + i] -= c * d
+            _dense.trim(r)
+        return _dense.trim(q), r
+
+    @classmethod
+    def ref_gcd(cls, a, b):
+        a, b = _dense.trim(list(a)), _dense.trim(list(b))
+        while b:
+            _, r = cls.ref_divmod(a, b)
+            a, b = b, r
+        if a:
+            lead = a[-1]
+            a = [c / lead for c in a]
+        return a
+
+    @classmethod
+    def ref_squarefree(cls, p):
+        if len(p) <= 1:
+            return list(p)
+        g = cls.ref_gcd(p, realroots.derivative(p))
+        if len(g) == 1:
+            return list(p)
+        q, _ = cls.ref_divmod(p, g)
+        return q
+
+    @classmethod
+    def ref_sturm_chain(cls, p):
+        chain = [_dense.trim(list(p)), realroots.derivative(p)]
+        while chain[-1]:
+            _, r = cls.ref_divmod(chain[-2], chain[-1])
+            chain.append([-c for c in r])
+        chain.pop()
+        return chain
+
+    @staticmethod
+    def ref_variations(chain, x):
+        signs = []
+        for p in chain:
+            v = sum(c * x ** i for i, c in enumerate(p))
+            if v:
+                signs.append(1 if v > 0 else -1)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    @staticmethod
+    def factor(rng, fractions):
+        """A seeded linear or quadratic factor, int or Fraction coefficients."""
+        deg = rng.choice((1, 2))
+        coeffs = [rng.randint(-4, 4) for _ in range(deg)] + [rng.choice((-3, -2, -1, 1, 2, 3))]
+        if fractions:
+            coeffs = [F(c, rng.randint(1, 5)) for c in coeffs]
+        return coeffs
+
+    @classmethod
+    def corpus(cls, seed=11, size=150):
+        rng = random.Random(seed)
+        out = [[F(3)], [F(-2, 7)], [5], [-1]]
+        for _ in range(size):
+            fractions = rng.random() < 0.5
+            p = [F(rng.choice((-3, -1, 1, 2)), rng.randint(1, 4))] if fractions else [rng.choice((-2, 1, 3))]
+            for _ in range(rng.randint(1, 3)):
+                f = cls.factor(rng, fractions)
+                for _ in range(rng.randint(1, 3)):
+                    p = _dense.mul(p, f)
+            out.append(p)
+        return out
+
+    def test_squarefree_is_positive_int_multiple_of_reference(self):
+        for p in self.corpus():
+            got = realroots.squarefree(p)
+            want = self.ref_squarefree([F(c) for c in p])
+            assert all(type(c) is int for c in got)
+            assert len(got) == len(want) > 0
+            ratio = F(got[-1]) / want[-1]
+            assert ratio > 0
+            assert [ratio * c for c in want] == got
+
+    def test_chain_variations_match_reference(self):
+        rng = random.Random(12)
+        for p in self.corpus():
+            chain = realroots.sturm_chain(realroots.squarefree(p))
+            ref = self.ref_sturm_chain(self.ref_squarefree([F(c) for c in p]))
+            assert len(chain) == len(ref)
+            for _ in range(6):
+                x = F(rng.randint(-40, 40), rng.randint(1, 9))
+                assert realroots._variations(chain, x) == self.ref_variations(ref, x)
+
+    def test_int_gcd_keeps_common_factor(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            f, g, h = ([rng.choice((-2, 1, 3))] for _ in range(3))
+            for poly in (f, g, h):
+                for _ in range(rng.randint(0, 3)):
+                    poly[:] = _dense.mul(poly, self.factor(rng, False))
+            common = _dense.gcd(_dense.mul(f, g), _dense.mul(f, h))
+            cf = _dense.content(f)
+            assert _dense.divides([c // cf for c in f], common)
+            assert common[-1] > 0

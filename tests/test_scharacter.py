@@ -81,6 +81,26 @@ class TestSymmetricLaurent:
         assert sym("t^2 + t^-2").cos_coefficients() == [-2, 0, 4]
 
 
+class TestCosCoefficients:
+    def test_matches_old_chebyshev_loop(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            top = rng.randint(0, 12)
+            half = {n: rng.randint(-5, 5) for n in range(top + 1)}
+            f = SymmetricLaurent({e: c for n, c in half.items() for e in (n, -n)})
+            if f.poly.is_zero():
+                continue
+            m = max(f.poly.max_exp, 0)
+            out = [0] * (m + 1)
+            out[0] = f.a(0)
+            for n in range(1, m + 1):
+                for i, q in enumerate(cos_basis(n)):
+                    out[i] += f.a(n) * q << i
+            while out and out[-1] == 0:
+                out.pop()
+            assert f.cos_coefficients() == out
+
+
 class TestPositivity:
     def test_examples(self):
         assert is_positive_on_circle(sym("t + 2 + t^-1")).is_positive
@@ -370,7 +390,7 @@ class TestCycloSignMemo:
     @staticmethod
     def fresh_signs(modulus: int, values: list[CycloElement]) -> list[int]:
         """Signs at 2cos(2 pi/N) from a fresh isolation, without the memo."""
-        psi = realroots.from_ints(cos_minimal_poly(modulus))
+        psi = cos_minimal_poly(modulus)
         lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
         signs = []
         for v in values:
