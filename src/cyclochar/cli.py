@@ -2,44 +2,21 @@
 tables for bivariate polynomials, and S-character checks, with text or JSON
 output.
 
-Exit codes: 0 success, 1 usage, 2 parse error, 3 domain error.
+Exit codes: 0 success, 1 usage, 2 parse error, 3 domain error, 4 internal
+error.
+
+Each command imports the library modules it uses when it runs, so a cold
+start loads only what the chosen subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from .cyclopoints import CycloSolveReport, g2_adjoint_poly, solve
 from .errors import CycloCharError, ExponentTooLarge, InvalidRank, ParseError
-from .laurent import BiLaurentPoly
-from .parsing import parse_bivariate, parse_univariate
-from .principal import (
-    explicit_zero_order,
-    prime_power_zero,
-    principal_character,
-    t_orders,
-    zero_orders,
-)
-from .rootsys import (
-    CartanType,
-    DominantWeight,
-    adjoint_weight,
-    build,
-    weight_pairings,
-    weyl_dim,
-)
-from .scharacter import (
-    classify_a0_2,
-    finite_s_check,
-    is_positive_on_circle,
-    load_class_data,
-    su2_decompose,
-    su2_mean,
-)
 
-USAGE_EXIT, PARSE_EXIT, DOMAIN_EXIT = 1, 2, 3
+USAGE_EXIT, PARSE_EXIT, DOMAIN_EXIT, INTERNAL_EXIT = 1, 2, 3, 4
 
 # Largest |exponent| accepted by scheck positive/classify/su2: the exact
 # positivity decision slows steeply with the degree (tens of seconds at 256).
@@ -55,13 +32,17 @@ MAX_PRINCIPAL_SPAN = 100_000
 
 
 def _build(text: str):
+    from .rootsys import CartanType, build
+
     ctype = CartanType.parse(text)
     if ctype.rank > MAX_RANK:
         raise InvalidRank(f"rank {ctype.rank} exceeds the limit rank <= {MAX_RANK}")
     return build(ctype)
 
 
-def _parse_weight(rs, text: str) -> DominantWeight:
+def _parse_weight(rs, text: str):
+    from .rootsys import DominantWeight, adjoint_weight
+
     if text.strip().lower() == "adjoint":
         return adjoint_weight(rs)
     try:
@@ -85,6 +66,15 @@ def _phi_list(indices) -> str:
 
 
 def cmd_principal(args) -> tuple[int, dict, list[str]]:
+    from .principal import (
+        explicit_zero_order,
+        prime_power_zero,
+        principal_character,
+        t_orders,
+        zero_orders,
+    )
+    from .rootsys import weight_pairings
+
     rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
     span = 2 * (sum(weight_pairings(rs, weight)) - sum(rs.rho_pairings))
@@ -152,13 +142,18 @@ def cmd_principal(args) -> tuple[int, dict, list[str]]:
 
 
 def cmd_dim(args) -> tuple[int, dict, list[str]]:
+    from .rootsys import weyl_dim
+
     rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
     d = weyl_dim(rs, weight)
     return 0, {"type": str(rs.type), "weight": list(weight.coords), "dimension": d}, [str(d)]
 
 
-def _load_bivariate(args) -> BiLaurentPoly:
+def _load_bivariate(args):
+    from .cyclopoints import g2_adjoint_poly
+    from .parsing import parse_bivariate
+
     sources = [s for s in (args.expr, args.file, args.builtin) if s]
     if len(sources) != 1:
         raise CycloCharError("give exactly one of --expr, --file, --builtin")
@@ -173,7 +168,7 @@ def _load_bivariate(args) -> BiLaurentPoly:
     return parse_bivariate(text)
 
 
-def _solve_report(rep: CycloSolveReport) -> tuple[dict, list[str]]:
+def _solve_report(rep) -> tuple[dict, list[str]]:
     points = [
         {
             "modulus": p.modulus,
@@ -237,17 +232,31 @@ def _solve_report(rep: CycloSolveReport) -> tuple[dict, list[str]]:
 
 
 def cmd_cyclopoints(args) -> tuple[int, dict, list[str]]:
+    from .cyclopoints import solve
+
     h = _load_bivariate(args)
     report, lines = _solve_report(solve(h))
     return 0, report, lines
 
 
 def cmd_g2_table(args) -> tuple[int, dict, list[str]]:
+    from .cyclopoints import g2_adjoint_poly, solve
+
     report, lines = _solve_report(solve(g2_adjoint_poly()))
     return 0, report, lines
 
 
 def cmd_scheck(args) -> tuple[int, dict, list[str]]:
+    from .parsing import parse_univariate
+    from .scharacter import (
+        classify_a0_2,
+        finite_s_check,
+        is_positive_on_circle,
+        load_class_data,
+        su2_decompose,
+        su2_mean,
+    )
+
     if args.subcheck == "finite":
         if not args.file:
             raise CycloCharError("scheck finite needs --file")
@@ -361,7 +370,12 @@ def main(argv=None) -> int:
     except CycloCharError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return DOMAIN_EXIT
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
     if args.format == "json":
+        import json
+
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         print("\n".join(lines))

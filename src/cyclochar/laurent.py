@@ -252,6 +252,13 @@ class LaurentPoly(_SparsePoly):
         return self._join((c, body(e, abs(c))) for e, c in sorted(self._c.items(), reverse=True))
 
 
+def sl2_character(n: int) -> LaurentPoly:
+    """g_n = (t**n - t**-n)/(t - 1/t), the n-dimensional SL2 character."""
+    if n < 1:
+        raise ValueError("dimension must be >= 1")
+    return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
+
+
 # ---------------------------------------------------------------------------
 # Euler phi and cyclotomic polynomials
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .errors import (
     ProductNotLarger,
     ZeroWeight,
 )
-from .laurent import LaurentPoly, prime_factors
+from .laurent import LaurentPoly, prime_factors, sl2_character  # noqa: F401  (re-exported)
 from .rootsys import DominantWeight, RootSystem, epsilon_trivial, weight_pairings, weyl_dim
 
 
@@ -150,13 +150,6 @@ def principal_character(rs: RootSystem, weight: DominantWeight) -> PrincipalChar
         epsilon_trivial=eps,
         poly_u=poly_u,
     )
-
-
-def sl2_character(n: int) -> LaurentPoly:
-    """g_n = (t**n - t**-n)/(t - 1/t), the n-dimensional SL2 character."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
-    return LaurentPoly({n - 1 - 2 * j: 1 for j in range(n)})
 
 
 def _g_chain(coeffs: list[int], offset: int, factors: list[int]) -> tuple[list[int], int]:

@@ -23,9 +23,8 @@ from .errors import (
     NotClassifiable,
     NotSymmetric,
 )
-from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly
-from .parsing import parse_univariate
-from .principal import sl2_character
+from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly, sl2_character
+from .parsing import ALLOWED_VARIABLES, parse_univariate
 
 
 class SymmetricLaurent:
@@ -375,11 +374,11 @@ def finite_s_check(cf: FiniteClassFunction) -> SCheckReport:
 def load_class_data(text: str) -> FiniteClassFunction:
     """Parse the two-column class-data format.
 
-    An optional directive line `root <var> <N>` declares the variable used
-    in value expressions to stand for a primitive N-th root of unity; each
-    remaining nonempty line is `<size> <value expression>`.  Without a
-    directive, values are evaluated with modulus 1 (any variable collapses
-    to 1).  Lines starting with '#' are comments.
+    An optional directive line `root <var> <N>` declares the variable (one
+    of t, u, x, y) used in value expressions to stand for a primitive N-th
+    root of unity; each remaining nonempty line is `<size> <value
+    expression>`.  Without a directive, values are evaluated with modulus 1
+    (any variable collapses to 1).  Lines starting with '#' are comments.
     """
     var = "t"
     modulus = 1
@@ -395,6 +394,9 @@ def load_class_data(text: str) -> FiniteClassFunction:
             if len(fields) != 3 or values:
                 raise InconsistentClassData(f"malformed root directive: {raw!r}")
             var = fields[1]
+            if var not in ALLOWED_VARIABLES:
+                raise InconsistentClassData(
+                    f"root variable must be one of {', '.join(ALLOWED_VARIABLES)}: {raw!r}")
             try:
                 modulus = int(fields[2])
             except ValueError:

@@ -1,10 +1,18 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
+import pytest
+
+import cyclochar
+from cyclochar import cli
 from cyclochar.cli import MAX_PRINCIPAL_SPAN, MAX_RANK, MAX_SCHECK_EXPONENT, main
 
 DATA = pathlib.Path(__file__).parent / "data"
+SRC = pathlib.Path(cyclochar.__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -214,6 +222,16 @@ class TestScheck:
         assert err.startswith("error: InconsistentClassData: root order")
         assert err.count("\n") == 1
 
+    def test_finite_unknown_root_variable(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("root z 5\n1 1\n")
+        proc = cold("import sys; from cyclochar.cli import main; sys.exit(main())",
+                    "scheck", "finite", "--file", str(path))
+        assert proc.returncode == 3 and not proc.stdout
+        assert proc.stderr == ("error: InconsistentClassData: root variable must be "
+                               "one of t, u, x, y: 'root z 5'\n")
+        assert "Traceback" not in proc.stderr
+
     def test_exponent_limit(self, capsys):
         for mode in ("positive", "classify", "su2"):
             start = time.perf_counter()
@@ -240,6 +258,71 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestInternalError:
+    def test_unexpected_exception_is_one_line_exit_4(self, capsys, monkeypatch):
+        def boom(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(cli._DISPATCH, "dim", boom)
+        code, out, err = run(capsys, "dim", "--type", "A1", "--weight", "1")
+        assert code == cli.INTERNAL_EXIT == 4 and not out
+        assert err == "internal error: RuntimeError: boom\n"
+
+    def test_keyboard_interrupt_is_not_caught(self, monkeypatch):
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._DISPATCH, "dim", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["dim", "--type", "A1", "--weight", "1"])
+
+
+def cold(code, *argv):
+    """Run `python -c code argv...` in a fresh interpreter on this checkout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# Prints the exit code, then the loaded cyclochar modules, on the last line.
+LOADED = """
+import sys
+import cyclochar.cli
+code = cyclochar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "cyclochar"))
+"""
+
+BASE = {"cyclochar", "cyclochar.cli", "cyclochar.errors"}
+
+
+class TestColdStartLoading:
+    """A subcommand loads only the modules it uses (counts, not timings)."""
+
+    def loaded(self, *argv):
+        proc = cold(LOADED, *argv)
+        assert proc.returncode == 0, proc.stderr
+        code, *modules = proc.stdout.splitlines()[-1].split()
+        assert code == "0"
+        return set(modules)
+
+    def test_importing_the_cli_loads_only_errors(self):
+        assert self.loaded() == BASE
+
+    def test_dim(self):
+        got = self.loaded("dim", "--type", "E8", "--weight", "1,0,0,0,0,0,0,0")
+        assert got == BASE | {"cyclochar.rootsys"}
+
+    def test_cyclopoints(self):
+        got = self.loaded("cyclopoints", "--expr", "x + y - 2")
+        assert got == BASE | {"cyclochar._dense", "cyclochar.laurent",
+                              "cyclochar.parsing", "cyclochar.cyclopoints"}
+
+    def test_scheck(self):
+        got = self.loaded("scheck", "su2", "--expr", "t^2 + 2 + t^-2")
+        assert got == BASE | {"cyclochar._dense", "cyclochar.laurent", "cyclochar.parsing",
+                              "cyclochar.realroots", "cyclochar.scharacter"}
 
 
 class TestDeterminism:

@@ -1,0 +1,86 @@
+"""The package namespace resolves its public names lazily, from the live
+attribute of each name's home module."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+import cyclochar
+
+PUBLIC = {
+    "BiLaurentPoly", "CartanType", "CycloCharError", "CycloElement", "CycloFactorization",
+    "CycloPoint", "CycloSolveReport", "DegenerateDegree", "DominantWeight",
+    "ExponentTooLarge", "FiniteClassFunction", "HypothesisViolated",
+    "InconsistentClassData", "InexactDivision", "InvalidRank", "IsTrivial", "LaurentPoly",
+    "NonCyclotomicRemainder", "NonIntegralDimension", "NotASquare", "NotAnSCharacter",
+    "NotClassifiable", "NotSymmetric", "ParseError", "PositiveDimensional",
+    "PositivityReport", "PrincipalCharacter", "ProductNotLarger", "RootSystem",
+    "SCheckReport", "SymmetricLaurent", "TorusRejection", "UnknownVariable",
+    "ZeroPolynomial", "ZeroWeight", "adjoint_weight", "binomial_quotient",
+    "bivariate_gcd", "build", "cartan_matrix", "classify_a0_2", "cos_minimal_poly",
+    "cyclo_factor", "cyclo_sign", "cyclotomic", "divides_cyclotomic", "epsilon_trivial",
+    "euler_phi", "eval_at_roots", "explicit_zero_order", "finite_s_check",
+    "g2_adjoint_poly", "g_minus", "g_plus", "is_positive_on_circle", "load_class_data",
+    "pairing", "parse", "parse_bivariate", "parse_univariate", "partial_sums",
+    "positive_root_vectors", "prime_power_zero", "principal_character", "resultant",
+    "seven_variants", "sl2_character", "solve", "su2_decompose", "su2_mean", "t_orders",
+    "tensor_identity_check", "torus_reject", "variant_cyclo_orders", "weight_pairings",
+    "weyl_dim", "zero_orders",
+}
+
+
+def test_all_lists_the_public_names():
+    assert len(PUBLIC) == 77
+    assert set(cyclochar.__all__) == PUBLIC
+    assert cyclochar.__version__ == "0.1.0"
+
+
+def test_each_name_is_its_home_module_attribute():
+    for name in PUBLIC:
+        obj = getattr(cyclochar, name)
+        assert obj is getattr(sys.modules[obj.__module__], name), name
+        assert name not in vars(cyclochar), name
+
+
+def test_a_rebinding_in_the_home_module_shows_through(monkeypatch):
+    original = cyclochar.laurent.cyclo_factor
+
+    def fake(f):
+        return None
+
+    monkeypatch.setattr(cyclochar.laurent, "cyclo_factor", fake)
+    assert cyclochar.cyclo_factor is fake
+    monkeypatch.undo()
+    assert cyclochar.cyclo_factor is original
+    assert "cyclo_factor" not in vars(cyclochar)
+
+
+def test_star_import_binds_every_name():
+    namespace = {}
+    exec("from cyclochar import *", namespace)
+    assert PUBLIC <= set(namespace)
+    assert namespace["solve"] is cyclochar.cyclopoints.solve
+
+
+def test_sl2_character_keeps_its_principal_name():
+    assert cyclochar.principal.sl2_character is cyclochar.laurent.sl2_character
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cyclochar.no_such_name
+    assert not hasattr(cyclochar, "realroot")
+
+
+def test_submodule_resolves_after_a_bare_import():
+    src = pathlib.Path(cyclochar.__file__).resolve().parent.parent
+    code = ("import sys, cyclochar\n"
+            "assert not any(m.startswith('cyclochar.') for m in sys.modules)\n"
+            "print(cyclochar.laurent.__name__, cyclochar.LaurentPoly.__name__)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "cyclochar.laurent LaurentPoly\n"
