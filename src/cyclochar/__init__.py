@@ -37,8 +37,9 @@ _EXPORTS = {
         "tensor_identity_check", "zero_orders",
     ),
     "cyclopoints": (
-        "CycloPoint", "CycloSolveReport", "bivariate_gcd", "g2_adjoint_poly",
-        "seven_variants", "solve", "variant_cyclo_orders",
+        "CycloPoint", "CycloSolveReport", "ExponentLattice", "bivariate_gcd",
+        "exponent_lattice", "g2_adjoint_poly", "seven_variants", "solve",
+        "variant_cyclo_orders",
     ),
     "scharacter": (
         "FiniteClassFunction", "PositivityReport", "SCheckReport",

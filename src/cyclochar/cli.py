@@ -168,8 +168,8 @@ def _load_bivariate(args):
     return parse_bivariate(text)
 
 
-def _solve_report(rep) -> tuple[dict, list[str]]:
-    points = [
+def _point_dicts(rep) -> list[dict]:
+    return [
         {
             "modulus": p.modulus,
             "a": p.a,
@@ -182,6 +182,32 @@ def _solve_report(rep) -> tuple[dict, list[str]]:
         }
         for p, size, vs in zip(rep.points, rep.orbit_sizes, rep.variant_attribution)
     ]
+
+
+def _lattice_report(lat) -> tuple[dict, str]:
+    """The reduction H = x^i y^j * G(u, v) as JSON and as one header line."""
+    from .laurent import BiLaurentPoly
+
+    mono = BiLaurentPoly.term(1, *lat.monomial)
+    prefix = "" if lat.monomial == (0, 0) else f"{mono} * "
+    subs = [str(BiLaurentPoly.term(1, *row)) for row in lat.basis]
+    if lat.index is not None:
+        reduced = lat.reduced.to_str(x="u", y="v")
+        line = (f"H = {prefix}G({subs[0]}, {subs[1]}) with G(u, v) = {reduced}"
+                f" (exponent lattice of index {lat.index})")
+    elif lat.basis:
+        reduced = lat.reduced.restrict(1, 0).to_str("t")
+        line = (f"H = {prefix}p({subs[0]}) with p(t) = {reduced},"
+                " which has no cyclotomic factor")
+    else:
+        reduced = str(lat.reduced)
+        line = "H is a monomial"
+    info = {"basis": [list(row) for row in lat.basis], "index": lat.index,
+            "monomial": list(lat.monomial), "reduced": reduced}
+    return info, line
+
+
+def _solve_report(rep) -> tuple[dict, list[str]]:
     report = {
         "variants": [
             {
@@ -192,17 +218,23 @@ def _solve_report(rep) -> tuple[dict, list[str]]:
             }
             for i, xs, ys in rep.variant_columns
         ],
-        "points": points,
+        "points": _point_dicts(rep),
         "positive_dimensional": list(rep.positive_dimensional),
         "element_orders": list(rep.element_orders()),
     }
-    header = f"{'i':>2}  {'R_i^cycl':<18} {'S_i^cycl':<18} couples (orbit reps); orders"
-    lines = [header, "-" * len(header)]
+    lines = []
+    if rep.lattice is not None:
+        report["lattice"], line = _lattice_report(rep.lattice)
+        lines.append(line)
+    table = rep.reduced_report or rep
+    if table.variant_columns:
+        header = f"{'i':>2}  {'R_i^cycl':<18} {'S_i^cycl':<18} couples (orbit reps); orders"
+        lines += [header, "-" * len(header)]
     by_variant = {}
-    for p, vs in zip(rep.points, rep.variant_attribution):
+    for p, vs in zip(table.points, table.variant_attribution):
         for i in vs:
             by_variant.setdefault(i, []).append(p)
-    for i, xs, ys in rep.variant_columns:
+    for i, xs, ys in table.variant_columns:
         if xs is None:
             lines.append(f"{i:>2}  shares a curve component: positive-dimensional, not enumerated")
             continue
@@ -214,6 +246,11 @@ def _solve_report(rep) -> tuple[dict, list[str]]:
             + (f"; {orders}" if orders else "")
         )
     lines.append("")
+    if rep.reduced_report is not None:
+        report["lattice"]["reduced_points"] = _point_dicts(rep.reduced_report)
+        if rep.points:
+            lines.append("zeros of H above those of G (orbit reps): "
+                         + " ".join(p.label() for p in rep.points))
     if rep.points:
         lines.append(
             "element orders with a zero: "

@@ -10,6 +10,7 @@ import pytest
 import cyclochar
 from cyclochar import cli
 from cyclochar.cli import MAX_PRINCIPAL_SPAN, MAX_RANK, MAX_SCHECK_EXPONENT, main
+from cyclochar.cyclopoints import MAX_LATTICE_INDEX, MAX_TORUS_DEGREE
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(cyclochar.__file__).resolve().parent.parent
@@ -172,6 +173,67 @@ class TestCyclopoints:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "cyclopoints", "--file", "/nonexistent/poly.txt")
         assert code == 1
+
+    def test_reduced_input_states_substitution_and_g(self, capsys):
+        code, out, err = run(capsys, "cyclopoints", "--expr", "x + y^2 - 1")
+        assert code == 0 and not err
+        lines = out.splitlines()
+        assert lines[0] == ("H = G(x, y^2) with G(u, v) = v + u - 1"
+                            " (exponent lattice of index 2)")
+        assert lines[1].startswith(" i  R_i^cycl")
+        assert " 7  Phi_6              Phi_6              (z6, z6^5); 6" in lines
+        assert "zeros of H above those of G (orbit reps): (z12^2, z12^5)" in lines
+        assert lines[-2:] == ["element orders with a zero: 12", "verified torsion-zero orbits: 1"]
+
+    def test_reduced_input_json_lattice(self, capsys):
+        code, out, _ = run(capsys, "--format", "json", "cyclopoints", "--expr", "x + y^2 - 1")
+        report = json.loads(out)
+        lattice = report["lattice"]
+        assert lattice["basis"] == [[1, 0], [0, 2]] and lattice["index"] == 2
+        assert lattice["monomial"] == [0, 0] and lattice["reduced"] == "v + u - 1"
+        assert [(p["modulus"], p["a"], p["b"]) for p in lattice["reduced_points"]] == [(6, 1, 5)]
+        assert [(p["modulus"], p["a"], p["b"]) for p in report["points"]] == [(12, 2, 5)]
+        assert report["positive_dimensional"] == [] and report["element_orders"] == [12]
+
+    def test_full_lattice_json_has_no_lattice_key(self, capsys):
+        _, out, _ = run(capsys, "--format", "json", "cyclopoints", "--expr", "x + y - 2")
+        assert "lattice" not in json.loads(out)
+
+    def test_no_cyclotomic_factor_is_not_flagged(self, capsys):
+        code, out, _ = run(capsys, "cyclopoints", "--expr", "x - 2")
+        assert code == 0
+        assert out.splitlines() == [
+            "H = p(x) with p(t) = t - 2, which has no cyclotomic factor", "",
+            "no root-of-unity zeros found"]
+
+
+# Prints the exit code and the seconds main() took, on the last line.
+TIMED = """
+import sys, time
+import cyclochar.cli
+start = time.perf_counter()
+code = cyclochar.cli.main(sys.argv[1:])
+print(code, time.perf_counter() - start)
+"""
+
+
+class TestCyclopointsLimits:
+    """Oversized torus inputs exit 3 at once; a fresh interpreter with a
+    timeout makes a missing check fail instead of hang."""
+
+    @pytest.mark.parametrize("expr, message", [
+        ("x^1000000 + y - 2",
+         f"lattice index 1000000 exceeds the cyclopoints limit index <= {MAX_LATTICE_INDEX}"),
+        ("x^1000000 + y^1000000 + 1",
+         f"lattice index 1000000000000 exceeds the cyclopoints limit index <= {MAX_LATTICE_INDEX}"),
+        ("x^1000000 - y^1000000",
+         f"degree 1000000 in x exceeds the cyclopoints limit degree <= {MAX_TORUS_DEGREE}"),
+    ])
+    def test_exits_3_within_a_second(self, expr, message):
+        proc = cold(TIMED, "cyclopoints", "--expr", expr)
+        code, seconds = proc.stdout.split()
+        assert code == "3" and float(seconds) < 1.0
+        assert proc.stderr == f"error: ExponentTooLarge: {message}\n"
 
 
 class TestScheck:

@@ -1,16 +1,22 @@
+import functools
 import math
+import random
 
 import pytest
 
+from cyclochar import cyclopoints
 from cyclochar.cyclopoints import (
+    MAX_LATTICE_INDEX,
+    MAX_TORUS_DEGREE,
     CycloPoint,
     bivariate_gcd,
+    exponent_lattice,
     g2_adjoint_poly,
     seven_variants,
     solve,
     variant_cyclo_orders,
 )
-from cyclochar.errors import PositiveDimensional, ZeroPolynomial
+from cyclochar.errors import ExponentTooLarge, PositiveDimensional, ZeroPolynomial
 from cyclochar.laurent import BiLaurentPoly, cyclo_factor, eval_at_roots
 from cyclochar.parsing import parse_bivariate
 
@@ -195,8 +201,286 @@ class TestSolve:
         assert list(g2_report.points) == sorted(g2_report.points)
 
 
+def _rebuild(lat):
+    """x^i y^j * G(x^r1 y^s1, x^r2 y^s2) from an ExponentLattice."""
+    rows = list(lat.basis) + [(0, 0)] * (2 - len(lat.basis))
+    out = {}
+    for (k1, k2), c in lat.reduced.coeffs.items():
+        e = (lat.monomial[0] + k1 * rows[0][0] + k2 * rows[1][0],
+             lat.monomial[1] + k1 * rows[0][1] + k2 * rows[1][1])
+        out[e] = out.get(e, 0) + c
+    return BiLaurentPoly(out)
+
+
+class TestExponentLattice:
+    def test_full_lattice(self):
+        lat = exponent_lattice(H)
+        assert lat.index == 1 and lat.basis == ((1, 0), (0, 1)) and lat.reduced == H
+
+    def test_hermite_rows_and_monomial(self):
+        lat = exponent_lattice(parse_bivariate("x^2*y^2 + x^2 + y^2 + 1 + x*y"))
+        assert lat.basis == ((1, 1), (0, 2)) and lat.index == 2
+        assert lat.monomial == (0, -2)
+        assert lat.reduced == parse_bivariate("y^2 + y*x^2 + y*x + y + x^2")
+
+    @pytest.mark.parametrize("m", [[[2, 0], [0, 1]], [[1, 0], [0, 3]], [[6, 0], [5, 1]],
+                                   [[2, 1], [1, 2]], [[1, 1], [-2, 1]], [[1000, 0], [0, 1]]])
+    def test_stretches_of_g2_reduce_to_the_least_degrees(self, m):
+        # G2(x^m00 y^m01, x^m10 y^m11); the basis of least degrees turns G2
+        # (degrees 6 and 4) into a shear of degrees 4 and 4
+        stretched = BiLaurentPoly({(i * m[0][0] + j * m[1][0], i * m[0][1] + j * m[1][1]): c
+                                   for (i, j), c in H.coeffs.items()})
+        lat = exponent_lattice(stretched)
+        assert lat.index == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+        assert (lat.reduced.degree_in("x"), lat.reduced.degree_in("y")) == (4, 4)
+        assert _rebuild(lat) == stretched
+
+    def test_ties_keep_the_hermite_rows(self):
+        lat = exponent_lattice(parse_bivariate("x + y^2 - 1"))
+        assert lat.basis == ((1, 0), (0, 2)) and lat.reduced == parse_bivariate("x + y - 1")
+
+    def test_rank_one_and_monomial(self):
+        lat = exponent_lattice(parse_bivariate("x^-2*y^4 - 3*x^2*y^-2"))
+        assert lat.basis == ((4, -6),) and lat.index is None
+        assert lat.reduced == parse_bivariate("-3*x + 1") and lat.monomial == (-2, 4)
+        lat = exponent_lattice(parse_bivariate("5*x^3*y"))
+        assert lat.basis == () and lat.monomial == (3, 1) and lat.reduced == 5
+
+
+class TestReducedSolve:
+    def test_one_gcd_per_substitution(self, monkeypatch):
+        calls = []
+
+        def counted(h, g):
+            calls.append(1)
+            return bivariate_gcd(h, g)
+
+        monkeypatch.setattr(cyclopoints, "bivariate_gcd", counted)
+        assert solve(H).element_orders() == (7, 8, 15, 42)
+        assert len(calls) == 7
+
+    def test_large_index_within_the_limit(self):
+        stretched = BiLaurentPoly({(1000 * i, j): c for (i, j), c in H.coeffs.items()})
+        rep = solve(stretched)
+        assert rep.lattice.index == 1000 and rep.positive_dimensional == ()
+        assert rep.reduced_report == solve(rep.lattice.reduced)
+        assert sum(rep.orbit_sizes) == 1000 * sum(solve(H).orbit_sizes)
+        for p in rep.points[::10]:
+            assert eval_at_roots(stretched, p.modulus, p.a, p.b).is_zero()
+
+    def test_index_limit(self):
+        k = MAX_LATTICE_INDEX
+        assert solve(parse_bivariate(f"x^{k} + y - 2")).lattice.index == k
+        with pytest.raises(ExponentTooLarge, match=f"lattice index {k + 1} exceeds"):
+            solve(parse_bivariate(f"x^{k + 1} + y - 2"))
+
+    @pytest.mark.parametrize("text", [
+        f"x^{MAX_TORUS_DEGREE + 1}*y + x + 1",          # index 1
+        # G(x^2, y) with G of lattice width MAX_TORUS_DEGREE + 1 in every direction
+        f"x^{2 * MAX_TORUS_DEGREE + 2} + y^{MAX_TORUS_DEGREE + 1} + x^2 + 1",
+        f"x^{MAX_TORUS_DEGREE + 1} - y^{MAX_TORUS_DEGREE + 1}",   # a coset family
+        f"x^{MAX_TORUS_DEGREE + 1} + x + 3",            # rank 1, p of degree + 1
+    ])
+    def test_degree_limit(self, text):
+        with pytest.raises(ExponentTooLarge, match=f"limit degree <= {MAX_TORUS_DEGREE}"):
+            solve(parse_bivariate(text))
+
+    def test_positive_dimensional_only_for_torsion_cosets(self):
+        assert solve(parse_bivariate("x^5*y + x^4*y^2 - 2*x*y^5")).positive_dimensional
+        assert solve(parse_bivariate("x^3*y^2 + 2")).positive_dimensional == ()
+        # p(t) = t - 2 in t = x^k y^k: no points, whatever k
+        assert solve(parse_bivariate("x^1000*y^1000 - 2")).points == ()
+
+
 class TestCycloPointLabel:
     def test_labels(self):
         p = CycloPoint(8, 4, 1, 2, 8)
         assert p.label() == "(z8^4, z8)"
         assert CycloPoint(1, 0, 0, 1, 1).label() == "(1, 1)"
+
+
+# ---------------------------------------------------------------------------
+# Brute-force differential test.  The evaluator is independent of the
+# package: Phi_n by exact division of t^n - 1, a value at (z^a, z^b) as the
+# remainder of a length-n vector modulo Phi_n, and every Galois orbit of
+# element order <= BRUTE_ORDER searched.
+# ---------------------------------------------------------------------------
+
+BRUTE_ORDER = 24
+
+
+def _divmod_monic(a, b):
+    """Quotient and remainder of a by a monic b, constant terms first."""
+    a = list(a)
+    shift = len(a) - len(b)
+    q = [0] * max(shift + 1, 0)
+    for k in range(shift, -1, -1):
+        c = a[k + len(b) - 1]
+        if c:
+            q[k] = c
+            for j, bj in enumerate(b):
+                a[k + j] -= c * bj
+    return q, a[:len(b) - 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _phi(n):
+    p = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            p, r = _divmod_monic(p, _phi(d))
+            assert not any(r)
+    return tuple(p)
+
+
+def _vanishes(terms, n, a, b):
+    vec = [0] * n
+    for (i, j), c in terms.items():
+        vec[(a * i + b * j) % n] += c
+    return not any(_divmod_monic(vec, _phi(n))[1])
+
+
+def _units_mod(n):
+    return [j for j in range(1, n + 1) if math.gcd(j, n) == 1]
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_starts(n):
+    """The least pair of every orbit of exact element order n (scanned in
+    lexicographic order, the first pair met is the least of its orbit)."""
+    seen, reps = set(), []
+    for a in range(n):
+        for b in range(n):
+            if (a, b) not in seen and math.gcd(a, b, n) == 1:
+                seen |= {(j * a % n, j * b % n) for j in _units_mod(n)}
+                reps.append((a, b))
+    return reps
+
+
+def _brute_zeros(terms):
+    return {(n, a, b) for n in range(1, BRUTE_ORDER + 1)
+            for a, b in _orbit_starts(n) if _vanishes(terms, n, a, b)}
+
+
+def _check_report(terms, rep):
+    """Every point a zero with canonical orders and representative; an
+    unflagged report complete up to BRUTE_ORDER.  Returns the point count."""
+    reported = set()
+    points = 0
+    for p, size in zip(rep.points, rep.orbit_sizes):
+        n = p.modulus
+        assert _vanishes(terms, n, p.a, p.b), p
+        assert math.gcd(p.a, p.b, n) == 1, p
+        assert (p.order_x, p.order_y) == (n // math.gcd(p.a, n), n // math.gcd(p.b, n)), p
+        orbit = {(j * p.a % n, j * p.b % n) for j in _units_mod(n)}
+        assert min(orbit) == (p.a, p.b) and size == len(orbit), p
+        reported.add((n, p.a, p.b))
+        points += size
+    assert len(reported) == len(rep.points)
+    if not rep.positive_dimensional:
+        assert _brute_zeros(terms) <= reported
+    return points
+
+
+def _random_terms(rng):
+    terms = {}
+    for _ in range(rng.randint(2, 6)):
+        i = rng.randint(0, 6)
+        terms[(i, rng.randint(0, 6 - i))] = rng.choice((-2, -1, 1, 2))
+    return terms
+
+
+def _random_sublattice(rng):
+    """Rows of an integer matrix of determinant +-2 .. +-6: a Hermite form
+    (g, c), (0, h) or its transpose, times a random unimodular matrix with
+    entries in -1..1 half of the time."""
+    g, h = rng.choice([(g, k // g) for k in range(2, 7) for g in range(1, k + 1) if k % g == 0])
+    m = [[g, rng.randrange(h)], [0, h]] if rng.random() < 0.5 else [[g, 0], [rng.randrange(g), h]]
+    if rng.random() < 0.5:
+        s, t = rng.randrange(2), rng.choice((-1, 1))
+        m[1 - s] = [m[1 - s][0] + t * m[s][0], m[1 - s][1] + t * m[s][1]]
+    return m
+
+
+def _stretch(terms, m):
+    """terms(x^m00 y^m01, x^m10 y^m11)."""
+    out = {}
+    for (i, j), c in terms.items():
+        e = (i * m[0][0] + j * m[1][0], i * m[0][1] + j * m[1][1])
+        out[e] = out.get(e, 0) + c
+    return out
+
+
+def _solve_or_refused(terms):
+    """solve(terms), or None where it refuses an input that is a torsion
+    coset family (exponents on one line) of degree above the limit: such an
+    input goes through the seven substitutions unreduced."""
+    try:
+        return solve(BiLaurentPoly(terms))
+    except ExponentTooLarge:
+        (i0, j0), (i1, j1), *rest = sorted(terms)
+        assert all((i - i0) * (j1 - j0) == (j - j0) * (i1 - i0) for i, j in rest)
+        assert max(_span(e[0] for e in terms), _span(e[1] for e in terms)) > MAX_TORUS_DEGREE
+        return None
+
+
+def _span(values):
+    values = list(values)
+    return max(values) - min(values)
+
+
+CHUNKS, PER_CHUNK = 10, 30
+
+
+@pytest.mark.parametrize("chunk", range(CHUNKS))
+def test_differential_random_and_stretched(chunk):
+    rng = random.Random(f"cyclopoints-differential:{chunk}")
+    for _ in range(PER_CHUNK):
+        terms = _random_terms(rng)
+        rep = solve(BiLaurentPoly(terms))
+        count = _check_report(terms, rep)
+        m = _random_sublattice(rng)
+        stretched = _stretch(terms, m)
+        srep = _solve_or_refused(stretched)
+        if srep is None:
+            continue
+        scount = _check_report(stretched, srep)
+        if not rep.positive_dimensional and not srep.positive_dimensional:
+            # each torsion point has |det m| preimages under the stretch
+            assert scount == abs(m[0][0] * m[1][1] - m[0][1] * m[1][0]) * count, (terms, m)
+
+
+G2_TERMS = H.coeffs
+NAMED = {
+    "G2(x^2, y)": _stretch(G2_TERMS, [[2, 0], [0, 1]]),
+    "G2(x, y^3)": _stretch(G2_TERMS, [[1, 0], [0, 3]]),
+    "G2(x^2, y^2)": _stretch(G2_TERMS, [[2, 0], [0, 2]]),
+    "x + y^2 - 1": parse_bivariate("x + y^2 - 1").coeffs,
+    "x^2*y^2 + x^2 + y^2 + 1 + x*y": parse_bivariate("x^2*y^2 + x^2 + y^2 + 1 + x*y").coeffs,
+    "x - 2": parse_bivariate("x - 2").coeffs,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED))
+def test_differential_named(name):
+    terms = NAMED[name]
+    rep = solve(BiLaurentPoly(terms))
+    assert rep.positive_dimensional == ()
+    count = _check_report(terms, rep)
+    if name.startswith("G2"):
+        index = rep.lattice.index
+        assert count == index * sum(solve(H).orbit_sizes)
+
+
+def test_missed_zero_of_order_12_is_found():
+    rep = solve(parse_bivariate("x + y^2 - 1"))
+    # (z6^-1, z12) = (z12^10, z12^1), whose orbit representative is (z12^2, z12^5)
+    assert (12, 2, 5) in {(p.modulus, p.a, p.b) for p in rep.points}
+    assert rep.lattice.basis == ((1, 0), (0, 2))
+    assert rep.reduced_report.points == (CycloPoint(6, 1, 5, 6, 6),)
+
+
+def test_no_cyclotomic_factor_means_no_points_and_no_flag():
+    rep = solve(parse_bivariate("x - 2"))
+    assert rep.points == () and rep.positive_dimensional == () and rep.variant_columns == ()
+    assert rep.lattice.basis == ((1, 0),)

@@ -13,7 +13,7 @@ import cyclochar
 PUBLIC = {
     "BiLaurentPoly", "CartanType", "CycloCharError", "CycloElement", "CycloFactorization",
     "CycloPoint", "CycloSolveReport", "DegenerateDegree", "DominantWeight",
-    "ExponentTooLarge", "FiniteClassFunction", "HypothesisViolated",
+    "ExponentLattice", "ExponentTooLarge", "FiniteClassFunction", "HypothesisViolated",
     "InconsistentClassData", "InexactDivision", "InvalidRank", "IsTrivial", "LaurentPoly",
     "NonCyclotomicRemainder", "NonIntegralDimension", "NotASquare", "NotAnSCharacter",
     "NotClassifiable", "NotSymmetric", "ParseError", "PositiveDimensional",
@@ -22,7 +22,7 @@ PUBLIC = {
     "ZeroPolynomial", "ZeroWeight", "adjoint_weight", "binomial_quotient",
     "bivariate_gcd", "build", "cartan_matrix", "classify_a0_2", "cos_minimal_poly",
     "cyclo_factor", "cyclo_sign", "cyclotomic", "divides_cyclotomic", "epsilon_trivial",
-    "euler_phi", "eval_at_roots", "explicit_zero_order", "finite_s_check",
+    "euler_phi", "eval_at_roots", "explicit_zero_order", "exponent_lattice", "finite_s_check",
     "g2_adjoint_poly", "g_minus", "g_plus", "is_positive_on_circle", "load_class_data",
     "pairing", "parse", "parse_bivariate", "parse_univariate", "partial_sums",
     "positive_root_vectors", "prime_power_zero", "principal_character", "resultant",
@@ -33,7 +33,7 @@ PUBLIC = {
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 77
+    assert len(PUBLIC) == 79
     assert set(cyclochar.__all__) == PUBLIC
     assert cyclochar.__version__ == "0.1.0"
 
