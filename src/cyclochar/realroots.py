@@ -1,9 +1,10 @@
 """Exact real-root isolation and sign analysis over the rationals.
 
 Dense polynomials with int or Fraction coefficients: squarefree parts are
-integer lists from the Z[x] kernels of _dense, Sturm chains run over Q, and
-bisection keeps non-root rational endpoints throughout, so every sign
-decision is exact.
+integer lists from the Z[x] kernels of _dense, and signed remainder chains
+run over Q.  Sturm chains count roots for bisection, which keeps non-root
+rational endpoints throughout; one Tarski query reads the sign of a
+polynomial at an isolated root.  Every sign decision is exact.
 """
 
 from __future__ import annotations
@@ -56,6 +57,16 @@ def squarefree(p: list) -> list[int]:
     return _dense.divexact(ints, _dense.gcd(ints, derivative(ints)))
 
 
+def _signed_remainders(a: list, b: list) -> list[list[Fraction]]:
+    """The signed remainder chain a, b, -rem(a, b), ... as Fraction lists,
+    up to its last nonzero member."""
+    chain = [[Fraction(c) for c in _dense.trim(list(p))] for p in (a, b)]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
+    return chain
+
+
 def sturm_chain(p: list) -> list[list[Fraction]]:
     """The Sturm chain p, p', -rem(p, p'), ... as Fraction lists.
 
@@ -63,12 +74,7 @@ def sturm_chain(p: list) -> list[list[Fraction]]:
     positive multiple of p is the same multiple of p's chain: it gives the
     same sign variations at every point.
     """
-    head = [Fraction(c) for c in _dense.trim(list(p))]
-    chain = [head, derivative(head)]
-    while chain[-1]:
-        chain.append([-c for c in _rem(chain[-2], chain[-1])])
-    chain.pop()
-    return chain
+    return _signed_remainders(p, derivative(p))
 
 
 def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
@@ -81,7 +87,8 @@ def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
 
 
 def count_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi] of the squarefree chain head."""
+    """The variation drop of a signed remainder chain from lo to hi: for a
+    Sturm chain, the distinct real roots of its head in (lo, hi]."""
     return _variations(chain, lo) - _variations(chain, hi)
 
 
@@ -186,23 +193,13 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
 
 
 def sign_at_unique_root(f, q: list, lo: Fraction, hi: Fraction) -> int:
-    """Sign of f at the single root xi of q inside (lo, hi), given f(xi) != 0.
+    """Sign of f at the single root xi of q inside (lo, hi); 0 when f(xi) = 0,
+    as when q divides f.
 
-    q must be squarefree with exactly one root there (so it changes sign);
-    the interval is narrowed until f is root-free and of constant sign on it.
+    One Tarski query (Sturm-Tarski; Basu-Pollack-Roy, Algorithms in Real
+    Algebraic Geometry, ch. 2): the variation drop of the signed remainder
+    chain of q and q' f from lo to hi is the sum of sign f(x) over the
+    distinct roots x of q in (lo, hi), here xi alone.  Requires q(lo) != 0
+    and q(hi) != 0.
     """
-    f = _dense.trim(list(f))
-    if len(f) <= 1:
-        v = f[0] if f else 0
-        return (v > 0) - (v < 0)
-    f_chain = sturm_chain(squarefree(f))
-    s_lo = evaluate(q, lo)
-    while True:
-        va, vb = evaluate(f, lo), evaluate(f, hi)
-        if va * vb > 0 and count_roots(f_chain, lo, hi) == 0:
-            return 1 if va > 0 else -1
-        m = _nonroot_between(q, lo, hi)
-        if evaluate(q, m) * s_lo > 0:
-            lo = m
-        else:
-            hi = m
+    return count_roots(_signed_remainders(q, _dense.mul(derivative(q), f)), lo, hi)

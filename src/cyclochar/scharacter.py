@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from . import realroots
 from .errors import (
+    ExponentTooLarge,
     HypothesisViolated,
     InconsistentClassData,
     IsTrivial,
@@ -25,6 +26,11 @@ from .errors import (
 )
 from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly, sl2_character
 from .parsing import ALLOWED_VARIABLES, parse_univariate
+
+# Largest N accepted in a `root <var> <N>` class-data directive: isolating
+# 2 cos(2 pi/N) among the phi(N)/2 real roots of its minimal polynomial slows
+# steeply with phi(N) (about 25 s for the prime 199, 27 s for 211).
+MAX_ROOT_ORDER = 200
 
 
 class SymmetricLaurent:
@@ -266,7 +272,8 @@ def cyclo_sign(v: CycloElement) -> int:
     largest real root of the minimal polynomial of s.  That polynomial and
     the root's isolating interval depend on N alone, so they are computed
     once per modulus and kept in a bounded memo (the 128 most recent moduli);
-    each value then costs one refinement of that interval.
+    each value then costs one Tarski query on that interval, the sign
+    variations of one signed remainder chain at its two ends.
     """
     if v.is_zero():
         return 0
@@ -379,6 +386,8 @@ def load_class_data(text: str) -> FiniteClassFunction:
     root of unity; each remaining nonempty line is `<size> <value
     expression>`.  Without a directive, values are evaluated with modulus 1
     (any variable collapses to 1).  Lines starting with '#' are comments.
+    A root order above MAX_ROOT_ORDER raises ExponentTooLarge before any
+    value is built.
     """
     var = "t"
     modulus = 1
@@ -403,6 +412,9 @@ def load_class_data(text: str) -> FiniteClassFunction:
                 modulus = 0
             if modulus < 1:
                 raise InconsistentClassData(f"root order must be an integer >= 1: {raw!r}")
+            if modulus > MAX_ROOT_ORDER:
+                raise ExponentTooLarge(
+                    f"root order {modulus} exceeds the class-data limit N <= {MAX_ROOT_ORDER}")
             continue
         if len(parts) != 2:
             raise InconsistentClassData(f"expected '<size> <expression>': {raw!r}")

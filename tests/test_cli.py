@@ -11,6 +11,7 @@ import cyclochar
 from cyclochar import cli
 from cyclochar.cli import MAX_PRINCIPAL_SPAN, MAX_RANK, MAX_SCHECK_EXPONENT, main
 from cyclochar.cyclopoints import MAX_LATTICE_INDEX, MAX_TORUS_DEGREE
+from cyclochar.scharacter import MAX_ROOT_ORDER
 
 DATA = pathlib.Path(__file__).parent / "data"
 SRC = pathlib.Path(cyclochar.__file__).resolve().parent.parent
@@ -294,6 +295,30 @@ class TestScheck:
                                "one of t, u, x, y: 'root z 5'\n")
         assert "Traceback" not in proc.stderr
 
+    def test_root_order_limit(self, capsys, tmp_path):
+        # 2cos(2pi/200) is isolated: the decision at the limit runs in full
+        path = tmp_path / "limit.txt"
+        path.write_text(f"root t {MAX_ROOT_ORDER}\n1 t + t^-1\n1 2 - t - t^-1\n1 t^50 + t^-50\n")
+        code, out, err = run(capsys, "scheck", "finite", "--file", str(path))
+        assert code == 0 and not err
+        assert "positive: yes" in out and "zero classes (0-based): 2" in out
+        path.write_text(f"root t {MAX_ROOT_ORDER + 1}\n1 t + t^-1\n")
+        code, out, err = run(capsys, "scheck", "finite", "--file", str(path))
+        assert code == 3 and not out
+        assert err == (f"error: ExponentTooLarge: root order {MAX_ROOT_ORDER + 1} "
+                       f"exceeds the class-data limit N <= {MAX_ROOT_ORDER}\n")
+
+    def test_huge_root_order_exits_3_within_a_second(self, tmp_path):
+        # a missing check would build a residue of length N; the timeout turns
+        # that into a failure instead of a hang
+        path = tmp_path / "huge.txt"
+        path.write_text("root t 100003\n1 t + t^-1\n")
+        proc = cold(TIMED, "scheck", "finite", "--file", str(path), timeout=30)
+        code, seconds = proc.stdout.split()
+        assert code == "3" and float(seconds) < 1.0
+        assert proc.stderr == ("error: ExponentTooLarge: root order 100003 exceeds "
+                               f"the class-data limit N <= {MAX_ROOT_ORDER}\n")
+
     def test_exponent_limit(self, capsys):
         for mode in ("positive", "classify", "su2"):
             start = time.perf_counter()
@@ -341,11 +366,11 @@ class TestInternalError:
             main(["dim", "--type", "A1", "--weight", "1"])
 
 
-def cold(code, *argv):
+def cold(code, *argv, timeout=120):
     """Run `python -c code argv...` in a fresh interpreter on this checkout."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 # Prints the exit code, then the loaded cyclochar modules, on the last line.

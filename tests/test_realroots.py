@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclochar import _dense, realroots
-from cyclochar.laurent import cos_basis, cos_minimal_poly
+from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_expand, cos_minimal_poly
+from cyclochar.scharacter import _largest_cos_root, cyclo_sign
 
 F = Fraction
 
@@ -262,3 +263,141 @@ class TestGcdFold:
             cf = _dense.content(f)
             assert _dense.divides([c // cf for c in f], common)
             assert common[-1] > 0
+
+
+class TestTarskiSign:
+    """sign_at_unique_root is one Tarski query.  The bisection it replaced,
+    which narrowed the isolating interval until the Sturm chain of the
+    value's squarefree part showed no root and the value had one sign at
+    both ends, is kept inline here as the reference, on the Q[x] Euclid of
+    TestGcdFold.  The reference runs on f mod psi, which has the same value
+    at the root and a degree below deg psi, so it stays fast at N = 80."""
+
+    @staticmethod
+    def ref_eval(p, x):
+        return sum(c * x ** i for i, c in enumerate(p))
+
+    @classmethod
+    def ref_nonroot_between(cls, q, a, b):
+        k = 2
+        while True:
+            m = a + (b - a) / k
+            if cls.ref_eval(q, m) != 0:
+                return m
+            k += 1
+
+    @classmethod
+    def ref_sign(cls, f, q, lo, hi):
+        q = [F(c) for c in q]
+        _, f = TestGcdFold.ref_divmod([F(c) for c in f], q)
+        if len(f) <= 1:
+            v = f[0] if f else 0
+            return (v > 0) - (v < 0)
+        chain = TestGcdFold.ref_sturm_chain(TestGcdFold.ref_squarefree(f))
+        s_lo = cls.ref_eval(q, lo)
+        while True:
+            va, vb = cls.ref_eval(f, lo), cls.ref_eval(f, hi)
+            if va * vb > 0 and (TestGcdFold.ref_variations(chain, lo)
+                                == TestGcdFold.ref_variations(chain, hi)):
+                return 1 if va > 0 else -1
+            m = cls.ref_nonroot_between(q, lo, hi)
+            if cls.ref_eval(q, m) * s_lo > 0:
+                lo = m
+            else:
+                hi = m
+
+    @staticmethod
+    def seeded_values(modulus, rng):
+        """|P(z)|^2 - c and z^k + z^-k - c at z = exp(2 pi i/N), non-rational."""
+        values = []
+        for _ in range(2):
+            p = LaurentPoly({e: rng.randint(-2, 2) for e in range(rng.randint(1, 4))})
+            v = CycloElement.from_laurent(p, modulus)
+            values.append(v * v.conjugate() - CycloElement.from_int(modulus, rng.randint(0, 4)))
+        for _ in range(2):
+            k = rng.randint(1, modulus - 1)
+            c = rng.randint(-2, 2)
+            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: -c}), modulus))
+        return [v for v in values if not v.is_rational()]
+
+    def test_matches_bisection_reference(self):
+        rng = random.Random(23)
+        checked, seen = 0, set()
+        for n in range(3, 81):
+            psi, lo, hi = _largest_cos_root(n)
+            for v in self.seeded_values(n, rng):
+                c = v.residue
+                # 2v as an int polynomial in s = 2cos(2 pi/N), as in cyclo_sign
+                ints = cos_expand([2 * c[0], *c[1:]])
+                # a positive Fraction multiple plus a Fraction multiple of psi:
+                # the same value at the root up to the positive factor
+                scale = F(rng.randint(1, 9), rng.randint(1, 9))
+                shift = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
+                fracs = _dense.add([scale * a for a in ints], _dense.mul(shift, psi))
+                want = self.ref_sign(ints, psi, lo, hi)
+                assert want in (-1, 1)
+                assert realroots.sign_at_unique_root(ints, psi, lo, hi) == want, (n, c)
+                assert realroots.sign_at_unique_root(fracs, psi, lo, hi) == want, (n, c)
+                checked += 1
+                seen.add(want)
+        assert checked >= 200 and seen == {-1, 1}
+
+    def test_every_isolating_interval_against_floats(self):
+        rng = random.Random(29)
+        targets = [poly(-1, 1, 1), poly(2, -3), poly(0, 0, 0, 1), [3], [-2]]
+        targets += [[rng.randint(-5, 5) for _ in range(rng.randint(2, 7))] for _ in range(6)]
+        checked = 0
+        for n in range(3, 41):
+            psi = cos_minimal_poly(n)
+            intervals = realroots.isolate_roots(psi, F(-2), F(2))
+            roots = sorted(2 * math.cos(2 * math.pi * j / n)
+                           for j in range(1, (n + 1) // 2) if math.gcd(j, n) == 1)
+            assert len(intervals) == len(roots) == len(psi) - 1
+            for (lo, hi), xi in zip(intervals, roots):
+                assert lo < xi < hi
+                for f in targets:
+                    want = sum(float(c) * xi ** i for i, c in enumerate(f))
+                    if abs(want) > 1e-6:
+                        got = realroots.sign_at_unique_root(f, psi, lo, hi)
+                        assert got == (1 if want > 0 else -1), (n, f, xi)
+                        checked += 1
+        assert checked > 2500
+
+    def test_zero_at_the_root_gives_zero(self):
+        rng = random.Random(31)
+        for n in (3, 5, 12, 17, 30):
+            psi = cos_minimal_poly(n)
+            for lo, hi in realroots.isolate_roots(psi, F(-2), F(2)):
+                assert realroots.sign_at_unique_root([], psi, lo, hi) == 0
+                assert realroots.sign_at_unique_root(list(psi), psi, lo, hi) == 0
+                g = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] + [F(1)]
+                assert realroots.sign_at_unique_root(_dense.mul(g, psi), psi, lo, hi) == 0
+        # (s - 1)(s + 1) vanishes at the one root 1 of s - 1 in (0, 2)
+        assert realroots.sign_at_unique_root(poly(-1, 0, 1), poly(-1, 1), F(0), F(2)) == 0
+
+
+class TestCosSignOracle:
+    """cyclo_sign against a sign decided with no real-root code: for
+    0 <= r = k mod N < N, cos(2 pi k/N) > 0 exactly when 4r < N or 4r > 3N,
+    and it is 0 exactly when 4r is N or 3N."""
+
+    @staticmethod
+    def cos_sign(k, n):
+        r = 4 * (k % n)
+        if r < n or r > 3 * n:
+            return 1
+        return 0 if r in (n, 3 * n) else -1
+
+    def test_every_k_up_to_100(self):
+        seen = set()
+        for n in range(3, 101):
+            signs = {}  # k and N - k give the same value; decide it once
+            for k in range(n):
+                v = (CycloElement.from_laurent(LaurentPoly({k: 1}), n)
+                     + CycloElement.from_laurent(LaurentPoly({-k: 1}), n))
+                if v not in signs:
+                    signs[v] = cyclo_sign(v)
+                want = self.cos_sign(k, n)
+                assert signs[v] == want, (k, n)
+                seen.add(want)
+        assert seen == {-1, 0, 1}
