@@ -21,7 +21,7 @@ ALLOWED_VARIABLES = ("t", "u", "x", "y")
 _OPS = set("+-*^()")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
+def _tokenize(text: str) -> list[tuple[str, str | int, int]]:
     out = []
     i = 0
     n = len(text)
@@ -30,13 +30,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # isdigit() also takes superscripts, which int() refuses
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             if j < n and text[j] == ".":
                 raise ParseError("floating literals are not allowed", j)
-            out.append(("INT", text[i:j], i))
+            try:
+                out.append(("INT", int(text[i:j]), i))
+            except ValueError:  # past the interpreter's digit limit
+                raise ParseError("integer literal too long", i) from None
             i = j
             continue
         if ch.isalpha():
@@ -99,7 +102,7 @@ class _Parser:
     def factor(self):
         kind, val, pos = self.take()
         if kind == "INT":
-            return int(val)
+            return val
         if kind == "NAME":
             if val not in self.variables:
                 if val in ALLOWED_VARIABLES:
@@ -129,7 +132,7 @@ class _Parser:
             kind, val, pos = self.take()
         if kind != "INT":
             raise ParseError("expected an integer exponent", pos)
-        return sign * int(val)
+        return sign * val
 
 
 def parse(text: str, variables=("t",)) -> LaurentPoly | BiLaurentPoly:

@@ -10,7 +10,6 @@ its real roots on [-1, 1]; nothing is ever decided by floating point.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from fractions import Fraction
 
 from . import realroots
@@ -27,10 +26,10 @@ from .errors import (
 from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly, sl2_character
 from .parsing import ALLOWED_VARIABLES, parse_univariate
 
-# Largest N accepted in a `root <var> <N>` class-data directive: isolating
-# 2 cos(2 pi/N) among the phi(N)/2 real roots of its minimal polynomial slows
-# steeply with phi(N) (about 25 s for the prime 199, 27 s for 211).
-MAX_ROOT_ORDER = 200
+# Largest N in a `root <var> <N>` class-data directive: the Fraction chain of
+# each value's Tarski query slows steeply with phi(N); at the prime 239 the
+# 3-class limit file takes 1.0 s, seeded 6-value files 2.7-9.3 s (2 vCPUs).
+MAX_ROOT_ORDER = 240
 
 
 class SymmetricLaurent:
@@ -255,13 +254,14 @@ def torus_reject(f: dict[tuple[int, ...], int]) -> TorusRejection:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=128)
 def _largest_cos_root(modulus: int) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(psi, lo, hi): the integer minimal polynomial psi of s = 2 cos(2 pi/N)
-    and an isolating interval (lo, hi) of s, its largest real root."""
-    psi = cos_minimal_poly(modulus)
-    lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
-    return psi, lo, hi
+    """(psi, lo, hi): the minimal polynomial psi of s = 2 cos(2 pi/N) and
+    (lo, hi) = (2 - 40/N^2, 2), holding s and no other root.  At x = 2 pi/N,
+    2 cos x >= 2 - x^2 and 4 pi^2 < 40 give s > lo; each other root, 2 cos(2 pi
+    k/N) with 2 <= k <= N/2, is at most 2 - y^2 + y^4/12 at y = 4 pi/N, below
+    lo once N^2 > 17.6.  For N in {2, 3, 4, 6} psi has one root and lo, 2 are
+    not roots; N = 1 values are rational and never get here."""
+    return cos_minimal_poly(modulus), 2 - Fraction(40, modulus * modulus), Fraction(2)
 
 
 def cyclo_sign(v: CycloElement) -> int:
@@ -269,11 +269,10 @@ def cyclo_sign(v: CycloElement) -> int:
 
     Rational values short-circuit; otherwise twice the value is rewritten as
     an integer polynomial in s = 2 cos(2 pi/N) and its sign is read off at the
-    largest real root of the minimal polynomial of s.  That polynomial and
-    the root's isolating interval depend on N alone, so they are computed
-    once per modulus and kept in a bounded memo (the 128 most recent moduli);
-    each value then costs one Tarski query on that interval, the sign
-    variations of one signed remainder chain at its two ends.
+    largest real root of the minimal polynomial of s.  That root lies alone
+    in (2 - 40/N^2, 2) (see _largest_cos_root), so each value costs one
+    Tarski query on that interval, the sign variations of one signed
+    remainder chain at its two ends; no root isolation is run.
     """
     if v.is_zero():
         return 0

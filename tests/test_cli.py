@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -6,6 +8,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cyclochar
 from cyclochar import cli
@@ -296,9 +300,11 @@ class TestScheck:
         assert "Traceback" not in proc.stderr
 
     def test_root_order_limit(self, capsys, tmp_path):
-        # 2cos(2pi/200) is isolated: the decision at the limit runs in full
+        # the decision at the limit runs in full
         path = tmp_path / "limit.txt"
-        path.write_text(f"root t {MAX_ROOT_ORDER}\n1 t + t^-1\n1 2 - t - t^-1\n1 t^50 + t^-50\n")
+        k = MAX_ROOT_ORDER // 4  # z^k + z^-k = i - i when 4 | N
+        assert 4 * k == MAX_ROOT_ORDER
+        path.write_text(f"root t {MAX_ROOT_ORDER}\n1 t + t^-1\n1 2 - t - t^-1\n1 t^{k} + t^-{k}\n")
         code, out, err = run(capsys, "scheck", "finite", "--file", str(path))
         assert code == 0 and not err
         assert "positive: yes" in out and "zero classes (0-based): 2" in out
@@ -334,6 +340,95 @@ class TestScheck:
         assert "NotAnSCharacter" in err
         _, _, err = run(capsys, "scheck", "su2", "--expr", "t^-257 + 2 + t^257")
         assert "ExponentTooLarge" in err
+
+
+def _expressions(variables, letters=("\u00e9", "\u00b2")):
+    """Small expressions with |exponent| <= 12 in the given variables, plus
+    text a file can hold but the grammar refuses: superscript digits and
+    non-ASCII letters."""
+    atoms = st.one_of(
+        st.integers(0, 9).map(str),
+        st.sampled_from(variables + letters),
+        st.tuples(st.sampled_from(variables), st.integers(-12, 12),
+                  st.sampled_from(("",) * 9 + letters[1:])).map(lambda a: f"{a[0]}^{a[1]}{a[2]}"),
+    )
+    return st.recursive(
+        atoms,
+        lambda inner: st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+            inner.map(lambda e: f"({e})"),
+            inner.map(lambda e: f"-{e}"),
+        ),
+        max_leaves=6,
+    )
+
+
+# Symmetric Laurent polynomials in t, so that checks get past the symmetry
+# test, and expressions in allowed and disallowed variables.
+_SYMMETRIC = st.dictionaries(st.integers(0, 12), st.integers(-3, 3), max_size=4).map(
+    lambda cs: " + ".join(f"({c})*t^{e} + ({c})*t^-{e}" for e, c in cs.items()) or "0")
+_T_EXPRS = _expressions(("t",), ())
+_EXPRS = st.one_of(_SYMMETRIC, _T_EXPRS, _expressions(("t", "u", "x", "y", "z")))
+_BAD_ORDERS = st.sampled_from([str(MAX_ROOT_ORDER + 1), "100003", "0", "-3", "abc", "2.5"])
+_BAD_SIZES = st.sampled_from(["0", "-2", "x", "1.5", "\u00b2"])
+_DEFECTS = [None] * 6 + ["variable", "order", "size", "no size", "value", "no classes"]
+
+
+@st.composite
+def _class_files(draw):
+    """Class-data files: a root directive in t or x with an order up to 60
+    (or none), one to five lines of size and value, and at most one defect."""
+    defect = draw(st.sampled_from(_DEFECTS))
+    var = draw(st.sampled_from(["t", "x", "z" if defect == "variable" else "t"]))
+    order = draw(_BAD_ORDERS if defect == "order" else st.integers(1, 60).map(str))
+    lines = [f"root {var} {order}"] if draw(st.integers(0, 4)) else []
+    for _ in range(0 if defect == "no classes" else draw(st.integers(1, 5))):
+        value = draw(_EXPRS if defect == "value" else st.one_of(_SYMMETRIC, _T_EXPRS))
+        size = draw(_BAD_SIZES if defect == "size" else st.integers(1, 60).map(str))
+        lines.append(value if defect == "no size" else f"{size} {value.replace('t', var)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestScheckFuzz:
+    """Well-formed argv and readable files end with an answer (exit 0) or a
+    documented one-line failure (2 parse, 3 domain); never 1 or 4."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code:
+            assert not out.getvalue()
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert out.getvalue() and not err.getvalue()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(text=_class_files(), fmt=st.sampled_from(["text", "json"]))
+    def test_finite(self, text, fmt, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "fuzz_classes.txt"
+        path.write_text(text, encoding="utf-8")
+        self.check(["--format", fmt, "scheck", "finite", "--file", str(path)])
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(mode=st.sampled_from(["positive", "classify", "su2"]),
+           expr=_EXPRS, fmt=st.sampled_from(["text", "json"]))
+    def test_expressions(self, mode, expr, fmt):
+        # --expr=... keeps a leading '-' from reading as an option
+        self.check(["--format", fmt, "scheck", mode, f"--expr={expr}"])
+
+    @pytest.mark.parametrize("argv", [
+        ["scheck", "positive", "--expr", "t^\u00b2"],
+        ["scheck", "su2", "--expr", "\u00b2"],
+        ["scheck", "positive", "--expr", "1" * 5000],
+    ])
+    def test_pinned_parse_errors(self, capsys, argv):
+        # int() refuses superscript digits and literals past its digit limit
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
 class TestUsage:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclochar import realroots
+from cyclochar import _dense, realroots
 from cyclochar.errors import (
     HypothesisViolated,
     InconsistentClassData,
@@ -19,6 +20,7 @@ from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_minimal_
 from cyclochar.parsing import parse_univariate
 from cyclochar.principal import sl2_character
 from cyclochar.scharacter import (
+    MAX_ROOT_ORDER,
     FiniteClassFunction,
     _largest_cos_root,
     SymmetricLaurent,
@@ -386,10 +388,11 @@ class TestCycloSign:
                     assert cyclo_sign(v) == (1 if approx > 0 else -1)
 
 
-class TestCycloSignMemo:
+class TestCycloSignBracket:
     @staticmethod
     def fresh_signs(modulus: int, values: list[CycloElement]) -> list[int]:
-        """Signs at 2cos(2 pi/N) from a fresh isolation, without the memo."""
+        """Signs at 2cos(2 pi/N) on the isolating interval of a fresh
+        isolation of all roots, the route cyclo_sign no longer takes."""
         psi = cos_minimal_poly(modulus)
         lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
         signs = []
@@ -416,31 +419,87 @@ class TestCycloSignMemo:
             values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: -c}), modulus))
         return [v for v in values if not v.is_rational()]
 
-    def test_memo_matches_fresh_isolation_in_any_order(self):
+    def test_matches_fresh_isolation(self):
         rng = random.Random(7)
         moduli = list(range(3, 61))
         values = {n: self.real_values(n, rng) for n in moduli}
         expected = {n: self.fresh_signs(n, values[n]) for n in moduli}
         assert sum(map(len, values.values())) > 150
         assert {-1, 1} <= {s for signs in expected.values() for s in signs}
-        shuffled = list(moduli)
-        rng.shuffle(shuffled)
-        for order in (moduli, shuffled):
-            _largest_cos_root.cache_clear()
-            for n in order:
-                assert [cyclo_sign(v) for v in values[n]] == expected[n], n
+        for n in moduli:
+            assert [cyclo_sign(v) for v in values[n]] == expected[n], n
 
-    def test_one_isolation_per_modulus(self):
+    def test_no_root_isolation(self, monkeypatch):
+        calls = []
+        isolate = realroots.isolate_roots
+
+        def counted(*args):
+            calls.append(args)
+            return isolate(*args)
+
+        monkeypatch.setattr(realroots, "isolate_roots", counted)
         modulus = 13
         values = []
         for i in range(20):
             k = 1 + i % 6
             values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: i % 3}), modulus))
         assert not any(v.is_rational() for v in values)
-        _largest_cos_root.cache_clear()
-        finite_s_check(FiniteClassFunction((1,) * 20, tuple(values)))
-        info = _largest_cos_root.cache_info()
-        assert (info.misses, info.hits) == (1, 19)
+        report = finite_s_check(FiniteClassFunction((1,) * 20, tuple(values)))
+        assert report.negative_classes and not calls
+
+    @staticmethod
+    def int_sturm_count(p: list[int], lo: Fraction, hi: Fraction) -> int:
+        """Distinct roots of p in (lo, hi] from a Sturm chain kept in Z[x].
+
+        Each division step scales by |lc| > 0 and each remainder is divided
+        by its positive content, so every member is a positive multiple of
+        the Fraction one and every sign agrees with realroots' chain; q(a/b)
+        is read as b^deg q(a/b).  realroots' Fraction chains take about 8 s
+        for all N up to 240 on a 2-vCPU host, these about 0.5 s.
+        """
+        chain = [list(p), realroots.derivative(p)]
+        while len(chain[-1]) > 1:
+            r, b = list(chain[-2]), chain[-1]
+            while len(r) >= len(b):
+                lead, shift = r[-1] * (1 if b[-1] > 0 else -1), len(r) - len(b)
+                r = [c * abs(b[-1]) for c in r]
+                for j, c in enumerate(b):
+                    r[shift + j] -= lead * c
+                _dense.trim(r)
+            if not r:
+                break
+            g = _dense.content(r)
+            chain.append([-c // g for c in r])
+
+        def variations(x: Fraction) -> int:
+            signs = []
+            for q in chain:
+                v, den = 0, 1
+                for c in reversed(q):
+                    v, den = v * x.numerator + c * den, den * x.denominator
+                if v:
+                    signs.append(v > 0)
+            return sum(a != b for a, b in zip(signs, signs[1:]))
+
+        return variations(lo) - variations(hi)
+
+    def test_int_sturm_count_matches_realroots(self):
+        for n in range(2, 41):
+            psi, lo, hi = _largest_cos_root(n)
+            chain = realroots.sturm_chain(psi)
+            for a, b in ((-2, 2), (lo, hi), (0, lo), (-1, Fraction(1, 2))):
+                want = realroots.count_roots(chain, Fraction(a), Fraction(b))
+                assert self.int_sturm_count(list(psi), Fraction(a), Fraction(b)) == want
+
+    def test_bracket_holds_only_the_largest_root(self):
+        for n in range(2, MAX_ROOT_ORDER + 1):
+            psi, lo, hi = _largest_cos_root(n)
+            assert psi == cos_minimal_poly(n) and hi == 2
+            assert realroots.evaluate(psi, lo) != 0 and realroots.evaluate(psi, hi) != 0
+            assert self.int_sturm_count(list(psi), lo, hi) == 1, n
+            assert lo < 2 * math.cos(2 * math.pi / n), n
+            if n >= 4:  # 4 pi/N <= pi: 2cos(4 pi/N) bounds every other root
+                assert 2 * math.cos(4 * math.pi / n) < lo, n
 
 
 class TestFiniteSCheck:

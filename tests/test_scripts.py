@@ -38,3 +38,12 @@ def test_g2_zero_table():
     assert "\n".join(table) in out
     assert "element orders with a zero: 7, 8, 15, 42\n" in out
     assert "points on the verified orbits: 96, " in out
+
+
+def test_psl27_classdata_regenerates_the_data_file():
+    # the README's `scheck finite` example reads this file
+    proc = subprocess.run(
+        [sys.executable, "scripts/psl27_classdata.py"], cwd=ROOT, capture_output=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (ROOT / "tests" / "data" / "psl27.txt").read_bytes()
