@@ -30,6 +30,11 @@ MAX_RANK = 64
 # dense polynomial is built and printed (about 2 s for a span of 74,400).
 MAX_PRINCIPAL_SPAN = 100_000
 
+# Most digits of a dimension that `dim` prints: Python refuses to convert a
+# longer int to text, and the Weyl product reaches it from coordinates of
+# about 40 digits at E8.
+MAX_DIM_DIGITS = 4300
+
 
 def _build(text: str):
     from .rootsys import CartanType, build
@@ -147,6 +152,8 @@ def cmd_dim(args) -> tuple[int, dict, list[str]]:
     rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
     d = weyl_dim(rs, weight)
+    if d >= 10 ** MAX_DIM_DIGITS:
+        raise CycloCharError(f"the dimension has more than {MAX_DIM_DIGITS} digits")
     return 0, {"type": str(rs.type), "weight": list(weight.coords), "dimension": d}, [str(d)]
 
 
@@ -381,6 +388,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Options whose value may start with '-': a leading sign in an expression or
+# weight would otherwise read as an option to argparse.
+_VALUE_OPTIONS = ("--expr", "--file", "--weight")
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    """Write `--expr -t` as `--expr=-t`; a value starting with '--' is left
+    alone, since it can only be another option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_OPTIONS and arg.startswith("-") and not arg.startswith("--"):
+            out[-1] = f"{out[-1]}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 _DISPATCH = {
     "principal": cmd_principal,
     "dim": cmd_dim,
@@ -392,6 +416,7 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_signed_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

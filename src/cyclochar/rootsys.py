@@ -46,7 +46,10 @@ class CartanType:
         m = re.fullmatch(r"([A-Ga-g])\s*(\d+)", text.strip())
         if not m:
             raise InvalidRank(f"cannot parse Cartan type {text!r}")
-        return CartanType(m.group(1).upper(), int(m.group(2)))
+        digits = m.group(2)
+        if len(digits) > 9:  # int() refuses very long literals; no rank is that large
+            raise InvalidRank(f"rank of {len(digits)} digits out of range")
+        return CartanType(m.group(1).upper(), int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

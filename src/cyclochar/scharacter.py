@@ -4,7 +4,11 @@ character) checked on exact class data.
 
 The positivity decision converts f(e^{i theta}) = a0 + sum 2 a_n cos(n theta)
 to a polynomial in c = cos(theta) through the Chebyshev basis and isolates
-its real roots on [-1, 1]; nothing is ever decided by floating point.
+its real roots on [-1, 1].  The sign of a real class value in Z[z]/(Phi_N)
+is read from an integer fixed-point approximation with a proven error
+bound, refined until the bound separates it from zero; the value is a
+nonzero algebraic integer, so a computable precision always suffices.
+Nothing is ever decided by floating point.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from fractions import Fraction
 
-from . import realroots
+from . import _dense, realroots
 from .errors import (
     ExponentTooLarge,
     HypothesisViolated,
@@ -23,13 +27,15 @@ from .errors import (
     NotClassifiable,
     NotSymmetric,
 )
-from .laurent import CycloElement, LaurentPoly, cos_expand, cos_minimal_poly, sl2_character
+from .laurent import CycloElement, LaurentPoly, cos_expand, sl2_character
 from .parsing import ALLOWED_VARIABLES, parse_univariate
 
-# Largest N in a `root <var> <N>` class-data directive: the Fraction chain of
-# each value's Tarski query slows steeply with phi(N); at the prime 239 the
-# 3-class limit file takes 1.0 s, seeded 6-value files 2.7-9.3 s (2 vCPUs).
-MAX_ROOT_ORDER = 240
+# Largest N in a `root <var> <N>` class-data directive.  Each real value is
+# reduced mod Phi_N three times (once built, twice conjugated), in time about
+# (N - phi(N)) phi(N) and worst at N with many odd prime factors; its sign
+# costs little.  A 6-value file of near-zero values takes 1.3 s at N = 1995,
+# 0.9 s at 1785 and 0.1 s at 2048 (2 vCPUs).
+MAX_ROOT_ORDER = 2048
 
 
 class SymmetricLaurent:
@@ -254,25 +260,107 @@ def torus_reject(f: dict[tuple[int, ...], int]) -> TorusRejection:
 # ---------------------------------------------------------------------------
 
 
-def _largest_cos_root(modulus: int) -> tuple[tuple[int, ...], Fraction, Fraction]:
-    """(psi, lo, hi): the minimal polynomial psi of s = 2 cos(2 pi/N) and
-    (lo, hi) = (2 - 40/N^2, 2), holding s and no other root.  At x = 2 pi/N,
-    2 cos x >= 2 - x^2 and 4 pi^2 < 40 give s > lo; each other root, 2 cos(2 pi
-    k/N) with 2 <= k <= N/2, is at most 2 - y^2 + y^4/12 at y = 4 pi/N, below
-    lo once N^2 > 17.6.  For N in {2, 3, 4, 6} psi has one root and lo, 2 are
-    not roots; N = 1 values are rational and never get here."""
-    return cos_minimal_poly(modulus), 2 - Fraction(40, modulus * modulus), Fraction(2)
+def _arctan_inv(x: int, scale: int) -> tuple[int, int]:
+    """(a, e) with |a - scale * arctan(1/x)| <= e, for integers x >= 2.
+
+    The k-th term of arctan(1/x) = sum_k (-1)^k / ((2k + 1) x^(2k + 1)) is
+    taken as floor(floor(scale / x^(2k + 1)) / (2k + 1)); nested floors of
+    positive integers compose, so it is scale times the true term rounded
+    down, within 1 of it.  The loop stops at the first k with
+    x^(2k + 1) > scale, where the omitted tail alternates with decreasing
+    terms and is at most its first term, below 1.  So k terms and the tail
+    are off by less than k + 1 in total.
+    """
+    total, power, k = 0, scale // x, 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x * x
+        k += 1
+    return total, k + 1
+
+
+def _fixed_root(modulus: int, scale: int) -> tuple[int, int, int]:
+    """(c, s, e) with |c + i s - scale * exp(2 pi i/N)| <= e, for N >= 3.
+
+    - pi.  Machin's formula pi = 16 arctan(1/5) - 4 arctan(1/239) gives P
+      with |P - scale pi| <= e_pi = 16 e_5 + 4 e_239 (_arctan_inv).
+    - The angle.  t = floor(2P/N) is within 2 e_pi/N + 1 of scale * 2 pi/N.
+      Since |exp(ia) - exp(ib)| <= |a - b| for real a, b, taking exp at the
+      rational point x = t/scale instead of 2 pi/N costs at most that much.
+    - exp(ix) by its Taylor series.  The m-th term u_m = floor(u_{m-1} t /
+      (scale m)), u_0 = scale, is within d_m of scale x^m/m!, where d_0 = 0
+      and d_m = ceil(d_{m-1} x/m) + 1: the previous error scales by x/m and
+      the floor adds less than 1.  The terms go to c and s by m mod 4.  The
+      loop stops once u_m = 0 and x/(m + 1) <= 1/2: then the true m-th term
+      is at most d_m and each later one at most half the one before, so the
+      omitted tail is at most d_m.  The modulus of the complex error is at
+      most the sum of the term errors plus the tail.
+    """
+    a5, e5 = _arctan_inv(5, scale)
+    a239, e239 = _arctan_inv(239, scale)
+    pi, e_pi = 16 * a5 - 4 * a239, 16 * e5 + 4 * e239
+    t = 2 * pi // modulus
+    err = -(-2 * e_pi // modulus) + 1
+    c, s, term, d, m = scale, 0, scale, 0, 0
+    while True:
+        m += 1
+        step = scale * m
+        term = term * t // step
+        d = -(-d * t // step) + 1
+        err += d
+        if m & 1:
+            s += -term if m & 2 else term
+        else:
+            c += -term if m & 2 else term
+        if not term and 2 * t <= step + scale:
+            return c, s, err + d
+
+
+def _fixed_value(residue: list[int], modulus: int, scale: int) -> tuple[int, int]:
+    """(a, e) with |a - scale * v| <= e for a real v = sum_j residue[j] z^j.
+
+    v is real, so it equals its real part, sum_j c_j Re z^j.  W_j, the
+    fixed-point z^j, is W_{j-1} Z/scale with each coordinate rounded down,
+    W_0 = scale exact and Z = (c, s) from _fixed_root with error e_z.  As
+    W_{j-1} Z/scale - scale z^j = ((W_{j-1} - scale z^(j-1)) Z
+    + scale z^(j-1) (Z - scale z))/scale and |Z| <= scale + e_z, its modulus
+    is at most e_{j-1} (1 + e_z/scale) + e_z; the two floors add less than
+    2, so e_j = e_{j-1} + ceil(e_{j-1} e_z/scale) + e_z + 2 bounds
+    |W_j - scale z^j|.  It grows linearly in j while j e_z is small against
+    scale.  Then e = sum_j |c_j| e_j bounds the error of a = sum_j c_j Re W_j.
+    """
+    c, s, ez = _fixed_root(modulus, scale)
+    re, im, ej = scale, 0, 0
+    a, e = residue[0] * scale, 0
+    for cj in residue[1:]:
+        re, im = (re * c - im * s) // scale, (re * s + im * c) // scale
+        ej += -(-ej * ez // scale) + ez + 2
+        if cj:
+            a += cj * re
+            e += abs(cj) * ej
+    return a, e
 
 
 def cyclo_sign(v: CycloElement) -> int:
     """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N).
 
-    Rational values short-circuit; otherwise twice the value is rewritten as
-    an integer polynomial in s = 2 cos(2 pi/N) and its sign is read off at the
-    largest real root of the minimal polynomial of s.  That root lies alone
-    in (2 - 40/N^2, 2) (see _largest_cos_root), so each value costs one
-    Tarski query on that interval, the sign variations of one signed
-    remainder chain at its two ends; no root isolation is run.
+    Zero and rational values are read off the residue.  Otherwise the value
+    is approximated in integer fixed point at 2^p (_fixed_value): an integer
+    A and a bound E with |A - 2^p v| <= E.  If |A| > E, A has the sign of v;
+    if not, p doubles.
+
+    Why it ends.  N >= 3 here, and v = sum_j c_j z^j lies in the real
+    subfield Q(z + 1/z), of degree d = phi(N)/2.  Its conjugates over Q are
+    sum_j c_j z^(aj) for the d classes a in (Z/N)^x / {1, -1}, so each is at
+    most B = sum_j |c_j| in absolute value.  v is a nonzero algebraic
+    integer, so the product of its d conjugates is a nonzero integer and
+    |v| >= B^-(d - 1).  Once 2^p > 2 E B^(d - 1), |A| >= 2^p |v| - E > E and
+    the loop stops.  E grows only linearly in p (it is about B N p: the
+    series of _arctan_inv and _fixed_root have O(p) terms, each off by a
+    bounded amount), so that p is reached.  Failing to stop past it would
+    contradict the bound, and raises an internal error.  No float and no
+    root isolation is used.
     """
     if v.is_zero():
         return 0
@@ -281,11 +369,16 @@ def cyclo_sign(v: CycloElement) -> int:
     if v.is_rational():
         r = v.rational_value()
         return 1 if r > 0 else -1
-    # v is real, so v = (v + conj v)/2 and 2v = 2c_0 + sum_j c_j q_j(s)
-    c = v.residue
-    two_v = cos_expand([2 * c[0], *c[1:]])
-    psi, lo, hi = _largest_cos_root(v.modulus)
-    return realroots.sign_at_unique_root(two_v, psi, lo, hi)
+    c = _dense.trim(list(v.residue))
+    bound_bits = (len(v.residue) // 2 - 1) * sum(map(abs, c)).bit_length()
+    p = 64
+    while True:
+        a, e = _fixed_value(c, v.modulus, 1 << p)
+        if abs(a) > e:
+            return 1 if a > 0 else -1
+        if p >= (2 * e).bit_length() + bound_bits:
+            raise AssertionError(f"no sign at {p} bits although |v| > 2^-{bound_bits}")
+        p *= 2
 
 
 @dataclasses.dataclass(frozen=True)

@@ -416,7 +416,7 @@ class TestScheckFuzz:
     @given(mode=st.sampled_from(["positive", "classify", "su2"]),
            expr=_EXPRS, fmt=st.sampled_from(["text", "json"]))
     def test_expressions(self, mode, expr, fmt):
-        # --expr=... keeps a leading '-' from reading as an option
+        # --expr=... also carries values that start with '--'
         self.check(["--format", fmt, "scheck", mode, f"--expr={expr}"])
 
     @pytest.mark.parametrize("argv", [
@@ -429,6 +429,80 @@ class TestScheckFuzz:
         code, out, err = run(capsys, *argv)
         assert code == 2 and not out
         assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+# The 32 simple types of rank <= 8, then type strings the parser refuses or
+# the families do not allow.
+_SIMPLE_TYPES = ([f"A{n}" for n in range(1, 9)] + [f"B{n}" for n in range(2, 9)]
+                 + [f"C{n}" for n in range(2, 9)] + [f"D{n}" for n in range(4, 9)]
+                 + ["E6", "E7", "E8", "F4", "G2"])
+_BAD_TYPES = st.one_of(
+    st.tuples(st.sampled_from("ABCDEFGHabcdefgz"), st.integers(0, 12)).map(lambda a: f"{a[0]}{a[1]}"),
+    st.sampled_from(["", " ", "A", "2", "A-1", "A 2", "A2.0", "A\u0663", "B\u00b2", "A" + "9" * 5000]),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def _weight_argv(draw, command):
+    """A type and a weight: mostly a simple type of rank <= 8 with small
+    coordinates, otherwise a bad type, a wrong length, a negative or huge
+    coordinate, 'adjoint' or text."""
+    good = draw(st.integers(0, 3))
+    ctype = draw(st.sampled_from(_SIMPLE_TYPES) if good else _BAD_TYPES)
+    rank = int(ctype[1:]) if good else draw(st.integers(0, 9))
+    length = rank if draw(st.integers(0, 4)) else draw(st.integers(0, 9))
+    coords = st.integers(0, 3) if draw(st.integers(0, 3)) else st.integers(-2, 10 ** 600)
+    weight = draw(st.one_of(
+        st.lists(coords, min_size=length, max_size=length).map(
+            lambda cs: draw(st.sampled_from([",", " ", ", "])).join(map(str, cs))),
+        st.sampled_from(["adjoint", "Adjoint ", "", ",", "1,,0", "x", "1.5", "\u00b2"]),
+    ))
+    return [command, "--type", ctype, "--weight", weight]
+
+
+class TestWeightFuzz:
+    """principal and dim on fuzzed types and weights: an answer, or a
+    one-line failure with exit 2 or 3, each within the deadline."""
+
+    @staticmethod
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), (code, err.getvalue())
+        if code:
+            assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        else:
+            assert out.getvalue() and not err.getvalue()
+
+    @settings(max_examples=150, deadline=10_000, derandomize=True)
+    @given(argv=_weight_argv("principal"), fmt=st.sampled_from(["text", "json"]))
+    def test_principal(self, argv, fmt):
+        self.check(["--format", fmt, *argv])
+
+    @settings(max_examples=150, deadline=10_000, derandomize=True)
+    @given(argv=_weight_argv("dim"), fmt=st.sampled_from(["text", "json"]))
+    def test_dim(self, argv, fmt):
+        self.check(["--format", fmt, *argv])
+
+    def test_signed_values_join_their_flag(self, capsys):
+        code, out, err = run(capsys, "scheck", "positive", "--expr", "-t^2+2-t^-2")
+        assert code == 0 and out == "positive on the unit circle: yes\n" and not err
+        code, out, err = run(capsys, "principal", "--type", "A2", "--weight", "-1,0")
+        assert code == 3 and not out
+        assert err == ("error: CycloCharError: weight coordinate 1 is -1; "
+                       "a dominant weight needs coordinates >= 0\n")
+        # a value starting with '--' is another option, as before
+        assert run(capsys, "scheck", "positive", "--expr", "--format")[0] == 1
+
+    def test_pinned_failures(self, capsys):
+        code, out, err = run(capsys, "dim", "--type", "A" + "9" * 5000, "--weight", "1")
+        assert (code, out, err) == (3, "", "error: InvalidRank: rank of 5000 digits out of range\n")
+        big = ",".join(["1" + "0" * 40] * 8)  # a dimension of about 4800 digits
+        code, out, err = run(capsys, "--format", "json", "dim", "--type", "E8", "--weight", big)
+        assert (code, out) == (3, "")
+        assert err == f"error: CycloCharError: the dimension has more than {cli.MAX_DIM_DIGITS} digits\n"
 
 
 class TestUsage:

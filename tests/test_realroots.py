@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cyclochar import _dense, realroots
 from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_expand, cos_minimal_poly
-from cyclochar.scharacter import _largest_cos_root, cyclo_sign
+from cyclochar.scharacter import cyclo_sign
 
 F = Fraction
 
@@ -324,10 +324,12 @@ class TestTarskiSign:
         rng = random.Random(23)
         checked, seen = 0, set()
         for n in range(3, 81):
-            psi, lo, hi = _largest_cos_root(n)
+            # 2cos(2 pi/N) is the one root of psi in (2 - 40/N^2, 2); the proof
+            # is in test_scharacter's TestCycloSignBracket.bracket
+            psi, lo, hi = cos_minimal_poly(n), 2 - F(40, n * n), F(2)
             for v in self.seeded_values(n, rng):
                 c = v.residue
-                # 2v as an int polynomial in s = 2cos(2 pi/N), as in cyclo_sign
+                # 2v as an int polynomial in s = 2cos(2 pi/N)
                 ints = cos_expand([2 * c[0], *c[1:]])
                 # a positive Fraction multiple plus a Fraction multiple of psi:
                 # the same value at the root up to the positive factor

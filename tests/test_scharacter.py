@@ -1,5 +1,6 @@
 import math
 import random
+from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,12 @@ from cyclochar.errors import (
     NotClassifiable,
     NotSymmetric,
 )
-from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_minimal_poly
+from cyclochar.laurent import CycloElement, LaurentPoly, cos_basis, cos_expand, cos_minimal_poly
 from cyclochar.parsing import parse_univariate
 from cyclochar.principal import sl2_character
 from cyclochar.scharacter import (
-    MAX_ROOT_ORDER,
     FiniteClassFunction,
-    _largest_cos_root,
+    _fixed_value,
     SymmetricLaurent,
     classify_a0_2,
     cyclo_sign,
@@ -388,62 +388,135 @@ class TestCycloSign:
                     assert cyclo_sign(v) == (1 if approx > 0 else -1)
 
 
+def decimal_cos(x: Decimal) -> Decimal:
+    """cos x by its Taylor series in the current decimal context."""
+    total, term, k = Decimal(1), Decimal(1), 0
+    while True:
+        k += 2
+        term = -term * x * x / (k * (k - 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def decimal_pi() -> Decimal:
+    """pi from 6 arcsin(1/2), a series the library does not use."""
+    total, term, k = Decimal(3), Decimal(3), 0
+    while True:
+        k += 1
+        term = term * (2 * k - 1) ** 2 / (4 * 2 * k * (2 * k + 1))
+        if total + term == total:
+            return total
+        total += term
+
+
+def cos_convergents(k: int, modulus: int, count: int) -> list[tuple[int, int]]:
+    """Continued-fraction convergents p/q of 2cos(2 pi k/N), from 80 digits;
+    a rational 2cos(2 pi k/N) ends the list at its own value."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = 2 * decimal_cos(2 * decimal_pi() * k / modulus)
+        out, (h0, h1), (k0, k1) = [], (0, 1), (1, 0)
+        for _ in range(count):
+            a = int(x.to_integral_value(rounding=ROUND_FLOOR))
+            h0, h1, k0, k1 = h1, a * h1 + h0, k1, a * k1 + k0
+            out.append((h1, k1))
+            if abs(x - a) < Decimal(10) ** -60:  # 2cos(2 pi k/N) is rational
+                break
+            x = 1 / (x - a)
+    return out
+
+
 class TestCycloSignBracket:
+    """cyclo_sign against the Sturm-Tarski reference: the sign of 2v, an
+    integer polynomial in s, at s = 2cos(2 pi/N), the one root of its
+    minimal polynomial in (2 - 40/N^2, 2)."""
+
+    MODULI = range(3, 61)
+
     @staticmethod
-    def fresh_signs(modulus: int, values: list[CycloElement]) -> list[int]:
-        """Signs at 2cos(2 pi/N) on the isolating interval of a fresh
-        isolation of all roots, the route cyclo_sign no longer takes."""
-        psi = cos_minimal_poly(modulus)
-        lo, hi = realroots.isolate_roots(psi, Fraction(-2), Fraction(2))[-1]
+    def bracket(modulus: int) -> tuple[tuple[int, ...], Fraction, Fraction]:
+        """(psi, lo, hi): the minimal polynomial psi of s = 2cos(2 pi/N) and
+        (lo, hi) = (2 - 40/N^2, 2), holding s and no other root.  At
+        x = 2 pi/N, 2cos x >= 2 - x^2 and 4 pi^2 < 40 give s > lo; each other
+        root, 2cos(2 pi k/N) with 2 <= k <= N/2, is at most 2 - y^2 + y^4/12
+        at y = 4 pi/N, below lo once N^2 > 17.6.  For N in {2, 3, 4, 6} psi
+        has one root and lo, 2 are not roots."""
+        return cos_minimal_poly(modulus), 2 - Fraction(40, modulus * modulus), Fraction(2)
+
+    @classmethod
+    def reference_signs(cls, modulus: int, values: list[CycloElement]) -> list[int]:
+        psi, lo, hi = cls.bracket(modulus)
         signs = []
         for v in values:
-            # v = c_0 + sum_j c_j (z^j + z^-j) / 2 = c_0 + sum_j c_j q_j(s) / 2
-            coeffs = [Fraction(v.residue[0])] + [Fraction(0)] * modulus
-            for j, c in enumerate(v.residue[1:], 1):
-                for i, b in enumerate(cos_basis(j)):
-                    coeffs[i] += Fraction(c * b, 2)
-            signs.append(realroots.sign_at_unique_root(coeffs, psi, lo, hi))
+            c = v.residue
+            two_v = cos_expand([2 * c[0], *c[1:]])  # 2v = 2c_0 + sum_j c_j q_j(s)
+            signs.append(realroots.sign_at_unique_root(two_v, psi, lo, hi))
         return signs
 
     @staticmethod
     def real_values(modulus: int, rng: random.Random) -> list[CycloElement]:
-        """Seeded real, non-rational values at one modulus."""
+        """Seeded real values at one modulus: |P(z)|^2 - c, z^k + z^-k - c,
+        near-zero q(z^k + z^-k) - p for convergents p/q of 2cos(2 pi k/N),
+        and exact zeros written as nonzero polynomials."""
+        def at(coeffs):
+            return CycloElement.from_laurent(LaurentPoly(coeffs), modulus)
+
         values = []
         for _ in range(2):
-            p = LaurentPoly({e: rng.randint(-2, 2) for e in range(rng.randint(1, 4))})
-            v = CycloElement.from_laurent(p, modulus)
-            values.append(v * v.conjugate())  # |P(z)|^2
-        for _ in range(2):
-            k = rng.randint(1, modulus - 1)
-            c = rng.randint(-2, 2)
-            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: -c}), modulus))
-        return [v for v in values if not v.is_rational()]
+            v = at({e: rng.randint(-2, 2) for e in range(rng.randint(1, 4))})
+            values.append(v * v.conjugate() - CycloElement.from_int(modulus, rng.randint(0, 4)))
+        k = rng.randint(1, modulus - 1)
+        values.append(at({k: 1, -k: 1, 0: -rng.randint(-2, 2)}))
+        for p, q in cos_convergents(k, modulus, 30)[2::5]:
+            values.append(at({k: q, -k: q, 0: -p}))
+        d = min(d for d in range(2, modulus + 1) if modulus % d == 0)
+        values.append(at({k + i * (modulus // d): 1 for i in range(d)}))  # z^k (1 + ... + w^(d-1))
+        return [v for v in values if v.is_zero() or not v.is_rational()]
 
     def test_matches_fresh_isolation(self):
         rng = random.Random(7)
-        moduli = list(range(3, 61))
-        values = {n: self.real_values(n, rng) for n in moduli}
-        expected = {n: self.fresh_signs(n, values[n]) for n in moduli}
-        assert sum(map(len, values.values())) > 150
-        assert {-1, 1} <= {s for signs in expected.values() for s in signs}
-        for n in moduli:
-            assert [cyclo_sign(v) for v in values[n]] == expected[n], n
+        values = {n: self.real_values(n, rng) for n in self.MODULI}
+        assert sum(map(len, values.values())) > 400
+        seen = set()
+        for n in self.MODULI:
+            signs = [cyclo_sign(v) for v in values[n]]
+            assert signs == self.reference_signs(n, values[n]), n
+            seen.update(signs)
+        assert seen == {-1, 0, 1}
+
+    def test_fixed_point_cosines_within_bound(self):
+        # each Re z^j against cos(2 pi j/N) recomputed in decimal at 3p bits
+        rng = random.Random(11)
+        for modulus in [*range(3, 41), 97, 199, 2048]:
+            width = len(CycloElement.from_int(modulus, 0).residue)
+            js = range(width) if width <= 40 else sorted(rng.sample(range(width), 12))
+            for bits in (64, 256):
+                scale = 1 << bits
+                with localcontext() as ctx:
+                    ctx.prec = 3 * bits * 30103 // 100000 + 10
+                    pi = decimal_pi()
+                    for j in js:
+                        unit = [int(i == j) for i in range(width)]
+                        a, e = _fixed_value(unit, modulus, scale)
+                        exact = scale * decimal_cos(2 * pi * j / modulus)
+                        assert abs(a - exact) <= e, (modulus, bits, j)
+                        assert e < scale >> (bits // 2), (modulus, bits, j)
 
     def test_no_root_isolation(self, monkeypatch):
         calls = []
-        isolate = realroots.isolate_roots
-
-        def counted(*args):
-            calls.append(args)
-            return isolate(*args)
-
-        monkeypatch.setattr(realroots, "isolate_roots", counted)
-        modulus = 13
+        for name, fn in vars(realroots).items():
+            if callable(fn) and getattr(fn, "__module__", None) == realroots.__name__:
+                monkeypatch.setattr(realroots, name,
+                                    lambda *a, _name=name, **k: calls.append(_name))
+        rng = random.Random(13)
+        for modulus in (13, 60, 199):
+            values = [v for v in self.real_values(modulus, rng) if not v.is_zero()]
+            assert {cyclo_sign(v) for v in values} == {-1, 1}
         values = []
         for i in range(20):
             k = 1 + i % 6
-            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: i % 3}), modulus))
-        assert not any(v.is_rational() for v in values)
+            values.append(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: i % 3}), 13))
         report = finite_s_check(FiniteClassFunction((1,) * 20, tuple(values)))
         assert report.negative_classes and not calls
 
@@ -485,16 +558,15 @@ class TestCycloSignBracket:
 
     def test_int_sturm_count_matches_realroots(self):
         for n in range(2, 41):
-            psi, lo, hi = _largest_cos_root(n)
+            psi, lo, hi = self.bracket(n)
             chain = realroots.sturm_chain(psi)
             for a, b in ((-2, 2), (lo, hi), (0, lo), (-1, Fraction(1, 2))):
                 want = realroots.count_roots(chain, Fraction(a), Fraction(b))
                 assert self.int_sturm_count(list(psi), Fraction(a), Fraction(b)) == want
 
     def test_bracket_holds_only_the_largest_root(self):
-        for n in range(2, MAX_ROOT_ORDER + 1):
-            psi, lo, hi = _largest_cos_root(n)
-            assert psi == cos_minimal_poly(n) and hi == 2
+        for n in range(2, self.MODULI[-1] + 1):
+            psi, lo, hi = self.bracket(n)
             assert realroots.evaluate(psi, lo) != 0 and realroots.evaluate(psi, hi) != 0
             assert self.int_sturm_count(list(psi), lo, hi) == 1, n
             assert lo < 2 * math.cos(2 * math.pi / n), n
