@@ -4,6 +4,8 @@ The seven-substitution method: every torsion zero (x, y) of H is a common
 zero of H and one of the sign/square substitutions H_1..H_7, so eliminating
 each variable in turn and keeping the cyclotomic factors of the resultants
 yields a finite candidate list, which exact evaluation then confirms.
+The eliminations run on the squarefree part of H, which has the same zeros
+and smaller resultants.
 Candidates are enumerated per Galois orbit: the zero set is stable under
 (x, y) -> (x^j, y^j) for j coprime to the common order, so one exact
 evaluation decides the whole orbit.
@@ -113,18 +115,12 @@ def _prem_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return r
 
 
-def bivariate_gcd(h: BiLaurentPoly, g: BiLaurentPoly) -> BiLaurentPoly:
-    """Gcd of the monomial-stripped parts of h and g in Z[x, y], up to sign.
+def _gcd_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Gcd in Z[x][y] of two nonzero polynomials given as rows, up to sign.
 
     Content and primitive part are taken in the y-direction with Z[x]
     coefficients; the primitive remainder sequence runs in y.
     """
-    if h.is_zero() or g.is_zero():
-        raise ZeroPolynomial("gcd with the zero polynomial")
-    _, _, h0 = h.monomial_split()
-    _, _, g0 = g.monomial_split()
-    a = _trim_rows(h0.coefficient_lists("y"))
-    b = _trim_rows(g0.coefficient_lists("y"))
     cont_a = _rows_content(a)
     cont_b = _rows_content(b)
     a = _rows_pp(a, cont_a)
@@ -138,16 +134,59 @@ def bivariate_gcd(h: BiLaurentPoly, g: BiLaurentPoly) -> BiLaurentPoly:
     if len(a) == 1:
         a = [[1]]  # a y-free primitive part has trivial gcd contribution in y
     cont = _dense.gcd(cont_a, cont_b)
-    rows = [_dense.mul(cont, c) if c else [] for c in a]
-    out: dict[tuple[int, int], int] = {}
-    for j, row in enumerate(rows):
-        for i, c in enumerate(row):
-            if c:
-                out[(i, j)] = c
-    lead = max(out, key=lambda e: (e[1], e[0]))
-    if out[lead] < 0:
-        out = {e: -c for e, c in out.items()}
-    return BiLaurentPoly(out)
+    return [_dense.mul(cont, c) if c else [] for c in a]
+
+
+def _from_rows(rows: list[list[int]]) -> BiLaurentPoly:
+    """The polynomial sum_j rows[j](x) y^j."""
+    return BiLaurentPoly({(i, j): c for j, row in enumerate(rows) for i, c in enumerate(row)})
+
+
+def bivariate_gcd(h: BiLaurentPoly, g: BiLaurentPoly) -> BiLaurentPoly:
+    """Gcd of the monomial-stripped parts of h and g in Z[x, y], normalised
+    to a positive coefficient at the greatest (y, x) exponent."""
+    if h.is_zero() or g.is_zero():
+        raise ZeroPolynomial("gcd with the zero polynomial")
+    _, _, h0 = h.monomial_split()
+    _, _, g0 = g.monomial_split()
+    out = _from_rows(_gcd_rows(_trim_rows(h0.coefficient_lists("y")),
+                               _trim_rows(g0.coefficient_lists("y"))))
+    lead = max(out.coeffs, key=lambda e: (e[1], e[0]))
+    return -out if out.coefficient(*lead) < 0 else out
+
+
+def _rows_divexact(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Exact quotient in y of polynomials with Z[x] coefficients, b trimmed."""
+    r = [list(c) for c in a]
+    q: list[list[int]] = [[] for _ in range(len(a) - len(b) + 1)]
+    for k in reversed(range(len(q))):
+        q[k] = c = _dense.divexact(r[k + len(b) - 1], b[-1])
+        for j, bc in enumerate(b):
+            r[k + j] = _dense.sub(r[k + j], _dense.mul(c, bc))
+    return q
+
+
+def _squarefree_part(h: BiLaurentPoly) -> BiLaurentPoly:
+    """The product of the distinct irreducible factors of h, up to sign and
+    with the monomial prefactor stripped: h's zeros on the torus, each once.
+
+    h = c(x) p(x, y) with c the content in the y-direction and p primitive.
+    The squarefree part of c is c / gcd(c, dc/dx).  Every irreducible factor
+    f of p involves y, so f does not divide df/dy, and f^e exactly dividing
+    p leaves f^(e-1) exactly dividing gcd(p, dp/dy): the squarefree part of
+    p is p / gcd(p, dp/dy), a division exact in Z[x, y] because the gcd is
+    primitive (Gauss's lemma).
+    """
+    _, _, h0 = h.monomial_split()
+    rows = _trim_rows(h0.coefficient_lists("y"))
+    content = _rows_content(rows)
+    rows = _rows_pp(rows, content)
+    dx = [i * c for i, c in enumerate(content)][1:]
+    content = _dense.divexact(content, _dense.gcd(content, dx))
+    if len(rows) > 1:
+        dy = [[j * c for c in row] for j, row in enumerate(rows)][1:]
+        rows = _rows_divexact(rows, _gcd_rows(rows, dy))
+    return _from_rows([_dense.mul(content, row) for row in rows])
 
 
 def _is_constant(p: BiLaurentPoly) -> bool:
@@ -404,8 +443,8 @@ def _report(found: dict, pos_dim=(), columns=(), **extra) -> CycloSolveReport:
 
 
 def _seven_substitutions(h: BiLaurentPoly) -> CycloSolveReport:
-    _, _, h0 = h.monomial_split()
-    one_variable = h0.degree_in("y") == 0 or h0.degree_in("x") == 0
+    h = _squarefree_part(h)
+    one_variable = h.degree_in("y") == 0 or h.degree_in("x") == 0
     found: dict[CycloPoint, tuple[int, set[int]]] = {}
     pos_dim: list[int] = []
     columns = []

@@ -1,8 +1,9 @@
 """Exact Laurent-polynomial arithmetic over the integers.
 
 Univariate and bivariate sparse Laurent polynomials, cyclotomic polynomials
-and cyclotomic-factor extraction, Sylvester resultants by fraction-free
-elimination, and exact evaluation at roots of unity inside Z[z]/(Phi_N(z)).
+and cyclotomic-factor extraction, Sylvester resultants by one fraction-free
+integer elimination at x = 2^K (Kronecker substitution), and exact
+evaluation at roots of unity inside Z[z]/(Phi_N(z)).
 Coefficients are Python ints throughout, so nothing here can overflow.
 """
 
@@ -598,13 +599,35 @@ class BiLaurentPoly(_SparsePoly):
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_determinant(m: list[list[list[int]]]) -> list[int]:
-    """Fraction-free Bareiss determinant of a matrix of dense Z[x] entries."""
+def _unpack(v: int, k: int) -> list[int]:
+    """The dense polynomial with balanced digits |r_i| < 2**(k-1) whose
+    value at 2**k is v; unique when such a polynomial exists."""
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    out = []
+    while v:
+        d = v & mask
+        if d >= half:
+            d -= mask + 1
+        out.append(d)
+        v = (v - d) >> k
+    return out
+
+
+def _packing_bits(a: list[list[int]], b: list[list[int]]) -> int:
+    """The digit width K of resultant(): the least K with
+    4**(K-1) >= 2**bitlen((sum ||a_i||_1^2)**db * (sum ||b_j||_1^2)**da)."""
+    da, db = len(a) - 1, len(b) - 1
+    na = sum(sum(map(abs, c)) ** 2 for c in a)
+    nb = sum(sum(map(abs, c)) ** 2 for c in b)
+    return ((na ** db * nb ** da).bit_length() + 1) // 2 + 1
+
+
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss determinant of an integer matrix (in place);
+    a zero pivot is replaced by the first nonzero entry below it."""
     n = len(m)
-    if n == 0:
-        return [1]
     sign = 1
-    prev = [1]
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -613,28 +636,49 @@ def _bareiss_determinant(m: list[list[list[int]]]) -> list[int]:
                     sign = -sign
                     break
             else:
-                return []
-        pivot = m[k][k]
+                return 0
+        row_k = m[k]
+        pivot = row_k[k]
+        tail_k = row_k[k + 1:]
         for i in range(k + 1, n):
-            left = m[i][k]
             row_i = m[i]
-            row_k = m[k]
-            for j in range(k + 1, n):
-                num = _dense.sub(_dense.mul(pivot, row_i[j]), _dense.mul(left, row_k[j]))
-                row_i[j] = _dense.divexact(num, prev) if num else []
-            row_i[k] = []
+            left = row_i[k]
+            row_i[k + 1:] = [(pivot * x - left * y) // prev
+                             for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pivot
-    det = m[n - 1][n - 1]
-    return [-c for c in det] if sign < 0 else list(det)
+    return sign * m[n - 1][n - 1]
 
 
 def resultant(h: BiLaurentPoly, g: BiLaurentPoly, eliminate: str) -> LaurentPoly:
     """Resultant of h and g with respect to the eliminated variable.
 
     Monomial prefactors in both variables are stripped first (they only
-    contribute x = 0 / y = 0, never roots of unity), then the Sylvester
-    determinant is evaluated by fraction-free Bareiss elimination over Z of
-    the kept variable.
+    contribute x = 0 / y = 0, never roots of unity).  What remains are
+    polynomials sum_i a_i(x) y^i and sum_j b_j(x) y^j of degrees da, db in
+    the eliminated variable (written y here, with x the kept one), whose
+    Sylvester matrix S(x) has db rows of a's and da rows of b's.
+
+    Kronecker substitution.  Each entry a_i, b_j is packed once into its
+    integer value at x = 2**K, the integer matrix S(2**K) is
+    reduced by fraction-free Bareiss elimination (_bareiss), and the one
+    determinant is unpacked in balanced base 2**K (_unpack).
+
+    Why the determinant is R(2**K).  Evaluation at 2**K is a ring map
+    Z[x] -> Z, so det S(2**K) = R(2**K) for the resultant R = det S(x);
+    every Bareiss quotient is a minor of the integer matrix S(2**K), so
+    each division is exact in Z.
+
+    Why the digits are the coefficients.  For |x| = 1 each entry is at most
+    its l1 norm, so row r of S(x) has Euclidean norm at most
+    sqrt(sum_i ||a_i||_1^2) or sqrt(sum_j ||b_j||_1^2), and Hadamard's
+    inequality gives |R(x)| <= (sum_i ||a_i||_1^2)^(db/2)
+    (sum_j ||b_j||_1^2)^(da/2) on the unit circle.  Each coefficient is an
+    average of R over the circle, r_k = (1/2pi) int R(e^it) e^(-ikt) dt, so
+    |r_k| <= max_{|x|=1} |R(x)|.  K is chosen with 2**(K-1) above that
+    bound (_packing_bits), so every |r_k| < 2**(K-1), and an integer has at
+    most one expansion sum_k r_k 2**(Kk) with all |r_k| < 2**(K-1): two
+    would differ in a lowest digit by less than 2**K, yet by a nonzero
+    multiple of 2**K.  In particular R(2**K) = 0 only when R is zero.
     """
     if eliminate not in ("x", "y"):
         raise ValueError("eliminate must be 'x' or 'y'")
@@ -647,20 +691,22 @@ def resultant(h: BiLaurentPoly, g: BiLaurentPoly, eliminate: str) -> LaurentPoly
     da, db = len(a) - 1, len(b) - 1
     if da < 1 or db < 1:
         raise DegenerateDegree(f"input free of {eliminate} after monomial normalization")
+    k = _packing_bits(a, b)
+    pa = [_dense.evaluate(c, 1 << k) for c in a]
+    pb = [_dense.evaluate(c, 1 << k) for c in b]
     n = da + db
-    rows: list[list[list[int]]] = []
+    rows: list[list[int]] = []
     for r in range(db):
-        row = [[] for _ in range(n)]
-        for i, c in enumerate(a):
-            row[r + da - i] = list(c)
+        row = [0] * n
+        for i, c in enumerate(pa):
+            row[r + da - i] = c
         rows.append(row)
     for r in range(da):
-        row = [[] for _ in range(n)]
-        for i, c in enumerate(b):
-            row[r + db - i] = list(c)
+        row = [0] * n
+        for i, c in enumerate(pb):
+            row[r + db - i] = c
         rows.append(row)
-    det = _bareiss_determinant(rows)
-    return LaurentPoly.from_dense(0, det)
+    return LaurentPoly.from_dense(0, _unpack(_bareiss(rows), k))
 
 
 # ---------------------------------------------------------------------------

@@ -362,10 +362,15 @@ def cyclo_sign(v: CycloElement) -> int:
     contradict the bound, and raises an internal error.  No float and no
     root isolation is used.
     """
-    if v.is_zero():
-        return 0
     if not v.is_real():
         raise ValueError("sign of a non-real value")
+    return _real_sign(v)
+
+
+def _real_sign(v: CycloElement) -> int:
+    """cyclo_sign for a value already known to be real."""
+    if v.is_zero():
+        return 0
     if v.is_rational():
         r = v.rational_value()
         return 1 if r > 0 else -1
@@ -444,7 +449,7 @@ def finite_s_check(cf: FiniteClassFunction) -> SCheckReport:
         if not v.is_real():
             nonreal.append(i)
             continue
-        s = cyclo_sign(v)
+        s = _real_sign(v)
         if s == 0:
             zeros.append(i)
         elif s < 0:

@@ -153,6 +153,18 @@ class TestCyclopoints:
         assert "positive-dimensional" in out
         assert "warning" in out
 
+    def test_square_prints_as_its_root(self, capsys):
+        h = "x^6*y^4 + x^6*y^3 + x^5*y^3 + x^4*y^3 + x^3*y^3 + x^4*y^2 + 2*x^3*y^2" \
+            " + x^2*y^2 + x^3*y + x^2*y + x*y + y + 1"
+        out = {}
+        for fmt in ("text", "json"):
+            once = run(capsys, "--format", fmt, "cyclopoints", "--expr", h)
+            twice = run(capsys, "--format", fmt, "cyclopoints", "--expr", f"({h})*({h})")
+            assert once == twice and once[0] == 0
+            out[fmt] = once[1]
+        assert "element orders with a zero: 7, 8, 15, 42" in out["text"]
+        assert "lattice" not in json.loads(out["json"])  # lattice index 1
+
     def test_json_round_trip(self, capsys):
         code, out, _ = run(capsys, "--format", "json", "cyclopoints",
                            "--builtin", "g2-adjoint")

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import time
 
 import pytest
 
@@ -290,6 +291,62 @@ class TestReducedSolve:
         assert solve(parse_bivariate("x^3*y^2 + 2")).positive_dimensional == ()
         # p(t) = t - 2 in t = x^k y^k: no points, whatever k
         assert solve(parse_bivariate("x^1000*y^1000 - 2")).points == ()
+
+
+def _outcome(rep):
+    return (rep.points, rep.orbit_sizes, rep.variant_attribution, rep.positive_dimensional,
+            rep.variant_columns, rep.lattice, rep.reduced_report)
+
+
+class TestSquarefreePart:
+    """The seven substitutions run on the squarefree part of their input."""
+
+    def test_square_of_g2(self, g2_report):
+        start = time.perf_counter()
+        rep = solve(H * H)
+        elapsed = time.perf_counter() - start
+        assert _outcome(rep) == _outcome(g2_report)
+        assert exponent_lattice(H * H).index == exponent_lattice(H).index == 1
+        assert elapsed < 5, f"solve(H*H) took {elapsed:.2f} s"
+
+    def test_parts(self):
+        line = parse_bivariate("x + y - 2")
+        cases = [
+            (BiLaurentPoly.term(-2, 3, 1) * H * H, H),
+            (parse_bivariate("(x - 1)*(x - 1)*(x + y - 2)"), parse_bivariate("(x - 1)*(x + y - 2)")),
+            (line * line * line, line),
+            (parse_bivariate("4*(x^2 - y)*(x^2 - y)*(x + y^2 - 1)"),
+             parse_bivariate("(x^2 - y)*(x + y^2 - 1)")),
+            (parse_bivariate("(x^2 + 1)*(x^2 + 1)*(y - x)*(y - x)*(y - x)"),
+             parse_bivariate("(x^2 + 1)*(y - x)")),
+        ]
+        for h, part in cases:
+            assert cyclopoints._squarefree_part(h) in (part, -part), str(h)
+
+    def test_squared_y_free_factor(self):
+        # the line x = 1 of zeros is flagged, as for the squarefree input
+        rep = solve(parse_bivariate("(x - 1)*(x - 1)*(x + y - 2)"))
+        assert _outcome(rep) == _outcome(solve(parse_bivariate("(x - 1)*(x + y - 2)")))
+        assert rep.points == () and rep.positive_dimensional == (1, 4, 5)
+        assert rep.variant_columns == (
+            (1, None, None), (2, (1, 2), ()), (3, (1, 2), ()), (4, None, None),
+            (5, None, None), (6, (1, 4), ()), (7, (1, 4), ()))
+
+    def test_cube(self):
+        rep = solve(parse_bivariate("(x + y - 2)*(x + y - 2)*(x + y - 2)"))
+        assert _outcome(rep) == _outcome(solve(parse_bivariate("x + y - 2")))
+        assert rep.points == (CycloPoint(1, 0, 0, 1, 1),) and rep.variant_attribution == ((4,),)
+        assert rep.positive_dimensional == ()
+        assert rep.variant_columns == (
+            (1, (), ()), (2, (), ()), (3, (), ()), (4, (1,), (1,)),
+            (5, (), ()), (6, (), ()), (7, (), ()))
+
+    def test_limits_apply_to_the_input(self):
+        # the square of an input at the degree limit is refused, not reduced
+        at_limit = parse_bivariate(f"x^{MAX_TORUS_DEGREE // 2}*y + x + 1")
+        solve(at_limit)
+        with pytest.raises(ExponentTooLarge, match=f"limit degree <= {MAX_TORUS_DEGREE}"):
+            solve(at_limit * at_limit * at_limit)
 
 
 class TestCycloPointLabel:

@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,8 @@ from cyclochar.laurent import (
     CycloElement,
     LaurentPoly,
     _cyclotomic_at,
+    _packing_bits,
+    _unpack,
     cos_basis,
     cos_expand,
     cos_minimal_poly,
@@ -278,6 +281,155 @@ class TestResultant:
         assert res.coefficient_sum() == 0
         assert res.coefficient(0) == 0
         assert res.coefficient(2) != 0
+
+
+def bareiss_reference(m: list[list[list[int]]], swaps: list) -> list[int]:
+    """Fraction-free Bareiss determinant of a matrix of dense Z[x] entries,
+    the entries kept as polynomials; appends one item to swaps per row swap."""
+    n = len(m)
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    swaps.append(k)
+                    break
+            else:
+                return []
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            left = m[i][k]
+            row_i = m[i]
+            row_k = m[k]
+            for j in range(k + 1, n):
+                num = _dense.sub(_dense.mul(pivot, row_i[j]), _dense.mul(left, row_k[j]))
+                row_i[j] = _dense.divexact(num, prev) if num else []
+            row_i[k] = []
+        prev = pivot
+    det = m[n - 1][n - 1]
+    return [-c for c in det] if sign < 0 else list(det)
+
+
+def resultant_reference(h, g, eliminate, swaps=None) -> LaurentPoly:
+    """The Sylvester determinant with polynomial entries, by bareiss_reference."""
+    a = h.monomial_split()[2].coefficient_lists(eliminate)
+    b = g.monomial_split()[2].coefficient_lists(eliminate)
+    da, db = len(a) - 1, len(b) - 1
+    n = da + db
+    rows = []
+    for r in range(db):
+        row = [[] for _ in range(n)]
+        for i, c in enumerate(a):
+            row[r + da - i] = list(c)
+        rows.append(row)
+    for r in range(da):
+        row = [[] for _ in range(n)]
+        for i, c in enumerate(b):
+            row[r + db - i] = list(c)
+        rows.append(row)
+    return LaurentPoly.from_dense(0, bareiss_reference(rows, [] if swaps is None else swaps))
+
+
+def random_bivariate(rng, signs=(-1, 1), terms=(2, 6), degree=4, coeff=9) -> BiLaurentPoly:
+    out = {}
+    for _ in range(rng.randint(*terms)):
+        out[(rng.randint(0, degree), rng.randint(0, degree))] = rng.randint(1, coeff) * rng.choice(signs)
+    return BiLaurentPoly(out)
+
+
+def packing_bits(h, g, eliminate) -> int:
+    return _packing_bits(h.monomial_split()[2].coefficient_lists(eliminate),
+                         g.monomial_split()[2].coefficient_lists(eliminate))
+
+
+class TestPackedResultant:
+    """resultant() packs the Sylvester entries at x = 2^K and runs Bareiss on
+    integers; the reference keeps polynomial entries throughout."""
+
+    @staticmethod
+    def pairs(seed: int, count: int, **kw):
+        rng = random.Random(seed)
+        for _ in range(count):
+            h, g = random_bivariate(rng, **kw), random_bivariate(rng, **kw)
+            for eliminate in "xy":
+                if h.degree_in(eliminate) and g.degree_in(eliminate):
+                    yield h, g, eliminate
+
+    def test_matches_polynomial_bareiss(self):
+        checked = 0
+        for h, g, eliminate in self.pairs(14, 150):
+            assert resultant(h, g, eliminate) == resultant_reference(h, g, eliminate), \
+                (str(h), str(g), eliminate)
+            checked += 1
+        assert checked > 200
+
+    def test_zero_pivots_force_row_swaps(self):
+        # h = x g + c with c free of x: the first b-row of the Sylvester
+        # matrix repeats the a-row up to its last entry, so elimination
+        # leaves zero pivots, and the reference swaps rows there
+        rng = random.Random(15)
+        swapped = 0
+        for _ in range(60):
+            g = random_bivariate(rng, terms=(2, 4), degree=3)
+            for eliminate, shift in (("x", (1, 0)), ("y", (0, 1))):
+                c = BiLaurentPoly({(shift[1] * e, shift[0] * e): rng.choice((-2, -1, 1, 2))
+                                   for e in rng.sample(range(4), 2)})
+                h = BiLaurentPoly.term(1, *shift) * g + c
+                if not g.monomial_split()[2].degree_in(eliminate):
+                    continue
+                swaps = []
+                ref = resultant_reference(h, g, eliminate, swaps)
+                swapped += bool(swaps)
+                assert resultant(h, g, eliminate) == ref, (str(h), str(g), eliminate)
+        assert swapped >= 100
+
+    def test_identically_vanishing(self):
+        rng = random.Random(16)
+        for _ in range(40):
+            f = random_bivariate(rng, terms=(2, 3), degree=2)
+            h = f * random_bivariate(rng, terms=(1, 3), degree=2)
+            g = f * random_bivariate(rng, terms=(1, 3), degree=2)
+            for eliminate in "xy":
+                if not f.monomial_split()[2].degree_in(eliminate):
+                    continue
+                assert resultant(h, g, eliminate).is_zero()
+                assert resultant_reference(h, g, eliminate).is_zero()
+
+    def test_balanced_digits_near_half(self):
+        for k in (2, 3, 8, 61, 64, 200):
+            top = (1 << (k - 1)) - 1
+            for digits in ([top], [-top], [-top, top, -top], [1, -top, 0, top],
+                           [-1, 0, 0, -top], [top, -1], [0, 0, -1]):
+                value = sum(c << (k * i) for i, c in enumerate(digits))
+                assert _unpack(value, k) == _dense.trim(list(digits))
+        assert _unpack(0, 5) == []
+
+    def test_negative_coefficients_near_bound(self):
+        # the digit extraction must carry a borrow through coefficients just
+        # inside -2^(K-1)
+        near = 0
+        for h, g, eliminate in self.pairs(17, 600):
+            res = resultant(h, g, eliminate)
+            half = 1 << (packing_bits(h, g, eliminate) - 1)
+            if any(c <= -half // 2 for c in res.coeffs.values()):
+                near += 1
+                assert res == resultant_reference(h, g, eliminate), (str(h), str(g), eliminate)
+        assert near >= 10
+
+    def test_bound_on_same_sign_inputs(self):
+        # with every coefficient positive the values on |x| = 1 peak at x = 1
+        # and the Hadamard bound is nearly reached: within a factor 2 at times
+        tight = 0
+        for h, g, eliminate in self.pairs(18, 600, signs=(1,)):
+            res = resultant_reference(h, g, eliminate)
+            half = 1 << (packing_bits(h, g, eliminate) - 1)
+            assert all(abs(c) < half for c in res.coeffs.values())
+            tight += any(abs(c) >= half // 2 for c in res.coeffs.values())
+            assert resultant(h, g, eliminate) == res
+        assert tight >= 10
 
 
 class TestCycloElement:

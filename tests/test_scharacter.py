@@ -656,6 +656,19 @@ class TestFiniteSCheck:
         report = finite_s_check(FiniteClassFunction.from_rational([1, 1], [2, 0]))
         assert report.is_s_character
 
+    def test_realness_tested_once_per_value(self, monkeypatch):
+        # each conjugate is one reduction mod Phi_N; the sign of a real
+        # class must not test realness a second time
+        values = tuple(CycloElement.from_laurent(LaurentPoly({k: 1, -k: 1, 0: k % 3 - 1}), 13)
+                       for k in range(1, 7)) + (CycloElement(13, [0, 1]),)
+        conjugate = CycloElement.conjugate
+        calls = []
+        monkeypatch.setattr(CycloElement, "conjugate",
+                            lambda v: calls.append(v) or conjugate(v))
+        report = finite_s_check(FiniteClassFunction((1,) * len(values), values))
+        assert report.negative_classes and report.nonreal_classes == (6,)
+        assert calls == list(values)
+
     def test_malformed_data(self):
         with pytest.raises(InconsistentClassData):
             FiniteClassFunction((1, -1), (CycloElement.from_int(1, 1),) * 2)
