@@ -13,12 +13,12 @@ import importlib
 # Submodule -> the public names it exports here.
 _EXPORTS = {
     "errors": (
-        "CycloCharError", "DegenerateDegree", "ExponentTooLarge",
-        "HypothesisViolated", "InconsistentClassData", "InexactDivision",
-        "InvalidRank", "IsTrivial", "NonCyclotomicRemainder",
-        "NonIntegralDimension", "NotASquare", "NotAnSCharacter",
-        "NotClassifiable", "NotSymmetric", "ParseError", "PositiveDimensional",
-        "ProductNotLarger", "UnknownVariable", "ZeroPolynomial", "ZeroWeight",
+        "CycloCharError", "ExponentTooLarge", "HypothesisViolated",
+        "InconsistentClassData", "InexactDivision", "InvalidRank", "IsTrivial",
+        "NonCyclotomicRemainder", "NonIntegralDimension", "NotASquare",
+        "NotAnSCharacter", "NotClassifiable", "NotSymmetric", "ParseError",
+        "PositiveDimensional", "ProductNotLarger", "UnknownVariable",
+        "ZeroPolynomial", "ZeroWeight",
     ),
     "laurent": (
         "BiLaurentPoly", "CycloElement", "CycloFactorization", "LaurentPoly",

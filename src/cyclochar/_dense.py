@@ -85,15 +85,6 @@ def divexact_binomial(p: list[int], ell: int) -> list[int]:
     return trim(q)
 
 
-def series_div_binomial(p: list[int], ell: int, trunc: int) -> list[int]:
-    """First trunc+1 coefficients of the power series p / (t**ell - 1)."""
-    n = trunc + 1
-    q = list(p[:n]) + [0] * (n - min(len(p), n))
-    for r in range(min(ell, n)):
-        q[r::ell] = itertools.accumulate((-c for c in q[r::ell]), operator.add)
-    return q
-
-
 def divmod_exact(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b over the integers.
 

@@ -444,7 +444,6 @@ def _report(found: dict, pos_dim=(), columns=(), **extra) -> CycloSolveReport:
 
 def _seven_substitutions(h: BiLaurentPoly) -> CycloSolveReport:
     h = _squarefree_part(h)
-    one_variable = h.degree_in("y") == 0 or h.degree_in("x") == 0
     found: dict[CycloPoint, tuple[int, set[int]]] = {}
     pos_dim: list[int] = []
     columns = []
@@ -452,11 +451,6 @@ def _seven_substitutions(h: BiLaurentPoly) -> CycloSolveReport:
         if _shares_component(h, hi):
             pos_dim.append(i)
             columns.append((i, None, None))
-            continue
-        if one_variable:
-            # both h and hi are free of one variable; a constant gcd then
-            # means no common zeros at all for this variant
-            columns.append((i, (), ()))
             continue
         x_orders = tuple(sorted(_resultant_orders(h, hi, "x")))
         y_orders = tuple(sorted(_resultant_orders(h, hi, "y")))

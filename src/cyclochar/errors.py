@@ -31,10 +31,6 @@ class InexactDivision(CycloCharError):
     when raised from a path whose divisibility is guaranteed by theory."""
 
 
-class DegenerateDegree(CycloCharError):
-    """Resultant requested in a variable one of the operands does not contain."""
-
-
 class InvalidRank(CycloCharError):
     """Cartan type with a rank outside the allowed range for its family."""
 

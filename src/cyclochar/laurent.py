@@ -15,11 +15,7 @@ import math
 import operator
 
 from . import _dense
-from .errors import (
-    DegenerateDegree,
-    InexactDivision,
-    ZeroPolynomial,
-)
+from .errors import InexactDivision, ZeroPolynomial
 
 
 class _SparsePoly:
@@ -624,11 +620,13 @@ def _packing_bits(a: list[list[int]], b: list[list[int]]) -> int:
 
 def _bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss determinant of an integer matrix (in place);
-    a zero pivot is replaced by the first nonzero entry below it."""
+    a zero pivot is replaced by the first nonzero entry below it.  The
+    determinant is the last pivot, signed by the swaps; the empty matrix
+    has determinant 1."""
     n = len(m)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         if not m[k][k]:
             for r in range(k + 1, n):
                 if m[r][k]:
@@ -646,7 +644,7 @@ def _bareiss(m: list[list[int]]) -> int:
             row_i[k + 1:] = [(pivot * x - left * y) // prev
                              for x, y in zip(row_i[k + 1:], tail_k)]
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * prev
 
 
 def resultant(h: BiLaurentPoly, g: BiLaurentPoly, eliminate: str) -> LaurentPoly:
@@ -657,6 +655,12 @@ def resultant(h: BiLaurentPoly, g: BiLaurentPoly, eliminate: str) -> LaurentPoly
     polynomials sum_i a_i(x) y^i and sum_j b_j(x) y^j of degrees da, db in
     the eliminated variable (written y here, with x the kept one), whose
     Sylvester matrix S(x) has db rows of a's and da rows of b's.
+
+    Degree 0.  An operand free of y still has its Sylvester matrix: for
+    da = 0 it is a0 times the db x db identity, so R = a0**db, and when both
+    degrees are 0 the matrix is empty and R = 1.  The bound below covers
+    these too: with da = 0 it reads ||a0||_1**db, which bounds |a0(x)|**db
+    on the unit circle, and an empty product is 1.
 
     Kronecker substitution.  Each entry a_i, b_j is packed once into its
     integer value at x = 2**K, the integer matrix S(2**K) is
@@ -689,8 +693,6 @@ def resultant(h: BiLaurentPoly, g: BiLaurentPoly, eliminate: str) -> LaurentPoly
     a = h0.coefficient_lists(eliminate)
     b = g0.coefficient_lists(eliminate)
     da, db = len(a) - 1, len(b) - 1
-    if da < 1 or db < 1:
-        raise DegenerateDegree(f"input free of {eliminate} after monomial normalization")
     k = _packing_bits(a, b)
     pa = [_dense.evaluate(c, 1 << k) for c in a]
     pb = [_dense.evaluate(c, 1 << k) for c in b]
@@ -730,7 +732,7 @@ class CycloElement:
         object.__setattr__(self, "modulus", modulus)
         p = list(coeffs)
         deg = euler_phi(modulus)
-        if len(p) >= deg + 1 or modulus == 1:
+        if len(p) >= deg + 1:
             _, phi_n = cyclotomic(modulus).dense()
             _, p = _dense.divmod_exact(p, phi_n)
         p = p + [0] * (deg - len(p))

@@ -12,12 +12,12 @@ undoubled exponents in u = t**2: the zero orders, and the divisibility
 behind the explicit zero, are read off the two exponent lists by divisor
 counting, with no factoring.
 
-The dense passes (the quotient, its multiply-back certificate and the tensor
-identity) first cancel the exponents common to both lists as multisets, which
-is exact because a common nonzero factor cancels in Z[t, 1/t].  The quotient
-is assembled as a truncated power series in linear passes per binomial and
-then certified exact by multiplying back, which keeps the rank-8 sweeps fast
-without giving up exactness.
+The dense passes (the quotient and the tensor identity) first cancel the
+exponents common to both lists as multisets, which is exact because a common
+nonzero factor cancels in Z[t, 1/t].  The quotient is then one linear pass
+per binomial: the numerator product is divided exactly by each denominator
+binomial in turn, and each division's vanishing remainder is the certificate
+that the quotient is a polynomial.
 """
 
 from __future__ import annotations
@@ -99,29 +99,22 @@ def _cyclotomic_counts(numer, denom) -> collections.Counter:
 def binomial_quotient(numer: list[int], denom: list[int]) -> LaurentPoly:
     """Exact polynomial prod(t**a - 1) / prod(t**b - 1).
 
-    Exponents common to both lists cancel first.  The rest is computed as a
-    power series truncated at the known degree and certified by multiplying
-    the denominator back; raises InexactDivision when the quotient is not a
-    polynomial.
+    Exponents common to both lists cancel first.  The numerator product is
+    then divided by each denominator binomial in turn; the quotient is a
+    polynomial iff no division leaves a remainder, so those remainder tests
+    certify it, and InexactDivision is raised otherwise.
     """
     if any(a < 1 for a in numer) or any(b < 1 for b in denom):
         raise ValueError("exponents must be positive")
-    deg = sum(numer) - sum(denom)
-    if deg < 0:
+    if sum(numer) < sum(denom):
         raise InexactDivision("denominator degree exceeds numerator degree")
     numer, denom = _cancel_common(numer, denom)
-    full = [1]
+    quot = [1]
     for a in numer:
-        full = _dense.mul_binomial(full, a)
-    quot = full[: deg + 1]
+        quot = _dense.mul_binomial(quot, a)
     for b in denom:
-        quot = _dense.series_div_binomial(quot, b, deg)
-    check = list(quot)
-    for b in denom:
-        check = _dense.mul_binomial(check, b)
-    if _dense.trim(check) != full:
-        raise InexactDivision("binomial quotient is not a polynomial")
-    return LaurentPoly.from_dense(0, _dense.trim(quot))
+        quot = _dense.divexact_binomial(quot, b)
+    return LaurentPoly.from_dense(0, quot)
 
 
 def principal_character(rs: RootSystem, weight: DominantWeight) -> PrincipalCharacter:

@@ -162,17 +162,13 @@ def nonneg_on_interval(p, lo, hi) -> tuple[bool, tuple[Fraction, Fraction] | Non
     lo, hi = Fraction(lo), Fraction(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
-    if not p:
-        return True, None
-    if len(p) == 1:
-        return (True, None) if p[0] >= 0 else (False, (lo, hi))
     q = squarefree(p)
     for end in (lo, hi):
         # q is squarefree, so a root at an end is simple; dividing by the
         # primitive d*x - n is exact over Z by Gauss's lemma
-        if len(q) > 1 and evaluate(q, end) == 0:
+        if evaluate(q, end) == 0:
             q = _dense.divexact(q, [-end.numerator, end.denominator])
-    intervals = isolate_roots(q, lo, hi) if len(q) > 1 else []
+    intervals = isolate_roots(q, lo, hi)
     # bounds[0] = lo, then isolating endpoints in order, bounds[-1] = hi;
     # even indices open a root-free gap, odd indices close one.
     bounds = [lo] + [x for pair in intervals for x in pair] + [hi]

@@ -31,10 +31,10 @@ from .laurent import CycloElement, LaurentPoly, cos_expand, sl2_character
 from .parsing import ALLOWED_VARIABLES, parse_univariate
 
 # Largest N in a `root <var> <N>` class-data directive.  Each real value is
-# reduced mod Phi_N three times (once built, twice conjugated), in time about
-# (N - phi(N)) phi(N) and worst at N with many odd prime factors; its sign
-# costs little.  A 6-value file of near-zero values takes 1.3 s at N = 1995,
-# 0.9 s at 1785 and 0.1 s at 2048 (2 vCPUs).
+# reduced mod Phi_N twice (once built, once conjugated by the realness test),
+# in time about (N - phi(N)) phi(N) and worst at N with many odd prime
+# factors; its sign costs little.  A 6-value file of near-zero values takes
+# 0.5-0.7 s at N = 1785 and 1995 and 0.02 s at 2048 (2 vCPUs).
 MAX_ROOT_ORDER = 2048
 
 

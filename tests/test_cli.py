@@ -172,6 +172,17 @@ class TestCyclopoints:
         assert report["element_orders"] == [7, 8, 15, 42]
         assert json.loads(json.dumps(report, sort_keys=True)) == report
 
+    def test_one_variable_json(self, capsys):
+        code, out, err = run(capsys, "--format", "json", "cyclopoints", "--expr", "x - 1")
+        flagged = (1, 4, 5)
+        variants = [{"i": i, "positive_dimensional": i in flagged,
+                     "x_factors": None if i in flagged else [],
+                     "y_factors": None if i in flagged else []} for i in range(1, 8)]
+        report = {"element_orders": [], "points": [], "positive_dimensional": list(flagged),
+                  "variants": variants}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_parse_error_exit_code(self, capsys):
         code, _, err = run(capsys, "cyclopoints", "--expr", "x +")
         assert code == 2
@@ -258,6 +269,13 @@ class TestScheck:
         code, out, _ = run(capsys, "scheck", "positive", "--expr", "t + t^-1")
         assert code == 0
         assert "no" in out and "negative for cos(theta)" in out
+
+    def test_negative_constant(self, capsys):
+        assert run(capsys, "scheck", "positive", "--expr=-2") == (
+            0, "positive on the unit circle: no\nnegative for cos(theta) in [-1, 1]\n", "")
+        code, out, err = run(capsys, "--format", "json", "scheck", "positive", "--expr=-2")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"negative_for_cos_theta_in": ["-1", "1"], "positive": False}
 
     def test_positive_yes(self, capsys):
         code, out, _ = run(capsys, "scheck", "positive", "--expr", "t + 2 + t^-1")
@@ -515,6 +533,30 @@ class TestWeightFuzz:
         code, out, err = run(capsys, "--format", "json", "dim", "--type", "E8", "--weight", big)
         assert (code, out) == (3, "")
         assert err == f"error: CycloCharError: the dimension has more than {cli.MAX_DIM_DIGITS} digits\n"
+
+
+@st.composite
+def _torus_expr(draw):
+    """A bivariate Laurent polynomial of 1-6 terms with exponents in -2..2
+    and coefficients +-1..+-3 as text, or a malformed or zero text."""
+    if not draw(st.integers(0, 5)):
+        return draw(st.sampled_from(["x^", "x*z", "0", "x - x"]))
+    terms = draw(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                                    st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=1, max_size=6))
+    text = "".join(f"{'-' if c < 0 else '+'} {abs(c)}*x^{i}*y^{j} " for c, i, j in terms)
+    return text.strip().removeprefix("+ ")
+
+
+class TestTorusFuzz:
+    """cyclopoints on fuzzed small Laurent polynomials: an answer, or a
+    one-line failure with exit 2 or 3, each within the deadline."""
+
+    @settings(max_examples=150, deadline=10_000, derandomize=True)
+    @given(expr=_torus_expr(), fmt=st.sampled_from(["text", "json"]))
+    def test_cyclopoints(self, expr, fmt):
+        # --expr=... also carries values that start with '-'
+        TestWeightFuzz.check(["--format", fmt, "cyclopoints", f"--expr={expr}"])
 
 
 class TestUsage:

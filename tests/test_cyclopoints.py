@@ -198,6 +198,22 @@ class TestSolve:
         with pytest.raises(ZeroPolynomial):
             solve(BiLaurentPoly.zero())
 
+    @pytest.mark.parametrize("text, flagged", [
+        ("x - 1", (1, 4, 5)),
+        ("x^3 - 1", (1, 4, 5)),
+        ("y^2 + 1", (1, 2, 3)),
+    ])
+    def test_one_variable_inputs(self, text, flagged):
+        # a one-variable input runs the general path: a resultant that
+        # eliminates the absent variable is a power of the other operand
+        # (or 1), and the variants that share no component have no
+        # cyclotomic factor in either resultant
+        rep = solve(parse_bivariate(text))
+        assert rep.points == () and rep.orbit_sizes == ()
+        assert rep.positive_dimensional == flagged
+        assert rep.variant_columns == tuple(
+            (i, None, None) if i in flagged else (i, (), ()) for i in range(1, 8))
+
     def test_cyclopoint_ordering_is_canonical(self, g2_report):
         assert list(g2_report.points) == sorted(g2_report.points)
 

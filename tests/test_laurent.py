@@ -25,7 +25,7 @@ from cyclochar.laurent import (
     phi_table,
     resultant,
 )
-from cyclochar.errors import DegenerateDegree, InexactDivision, ZeroPolynomial
+from cyclochar.errors import InexactDivision, ZeroPolynomial
 
 T = LaurentPoly.variable()
 
@@ -267,10 +267,25 @@ class TestResultant:
         res = resultant(H, h1, "y")  # eliminate y: polynomial in x
         assert set(cyclo_factor(res).indices()) == {2, 4}
 
-    def test_degenerate(self):
-        f = BiLaurentPoly({(1, 0): 1})  # pure x
-        with pytest.raises(DegenerateDegree):
-            resultant(f, H, "y")
+    def test_operand_free_of_the_eliminated_variable(self):
+        # the Sylvester matrix of a0(x) and g of y-degree 3 is a0 times the
+        # 3 x 3 identity, so Res_y = a0^3
+        a0 = BiLaurentPoly({(2, 0): 2, (0, 0): -1, (1, 0): 3})  # 2x^2 + 3x - 1
+        g = BiLaurentPoly({(0, 3): 1, (1, 1): -2, (0, 0): 5})  # y^3 - 2xy + 5
+        a0_cubed = LaurentPoly({2: 2, 0: -1, 1: 3}) ** 3
+        assert resultant(a0, g, "y") == a0_cubed
+        assert resultant(a0, g, "y") == resultant_reference(a0, g, "y")
+        # Res(g, a0) = (-1)^(3*0) Res(a0, g)
+        assert resultant(g, a0, "y") == a0_cubed == resultant_reference(g, a0, "y")
+
+    def test_both_operands_free_of_the_eliminated_variable(self):
+        # the empty Sylvester matrix has determinant 1
+        f = BiLaurentPoly({(1, 0): 1, (0, 0): -1})  # x - 1
+        g = BiLaurentPoly({(3, 0): 4, (0, 0): 7})   # 4x^3 + 7
+        assert resultant(f, g, "y") == LaurentPoly({0: 1})
+        assert resultant(f, g, "y") == resultant_reference(f, g, "y")
+        # eliminating x instead leaves y-constants: Res_x = 4 + 7
+        assert resultant(f, g, "x") == LaurentPoly({0: 11}) == resultant_reference(f, g, "x")
 
     def test_shared_root_vanishing(self):
         # Res_x(x - y, x^2 - y) vanishes exactly where the curves share an
@@ -285,8 +300,11 @@ class TestResultant:
 
 def bareiss_reference(m: list[list[list[int]]], swaps: list) -> list[int]:
     """Fraction-free Bareiss determinant of a matrix of dense Z[x] entries,
-    the entries kept as polynomials; appends one item to swaps per row swap."""
+    the entries kept as polynomials; appends one item to swaps per row swap.
+    The empty matrix has determinant 1."""
     n = len(m)
+    if not n:
+        return [1]
     sign = 1
     prev = [1]
     for k in range(n - 1):

@@ -89,6 +89,10 @@ class TestNonneg:
     def test_zero_poly(self):
         assert realroots.nonneg_on_interval([], F(-1), F(1)) == (True, None)
 
+    def test_nonzero_constants(self):
+        assert realroots.nonneg_on_interval([-3], -1, 1) == (False, (-1, 1))
+        assert realroots.nonneg_on_interval([5], -1, 1) == (True, None)
+
     def test_even_dip_below(self):
         # (c^2 - 1/4)^2 - 1/16 dips negative around +-1/2
         base = poly(-1, 0, 4)
