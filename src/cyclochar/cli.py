@@ -27,8 +27,18 @@ MAX_SCHECK_EXPONENT = 256
 MAX_RANK = 64
 
 # Largest t-degree span 2 * sum(n'_i - n_i) of a principal character: its
-# dense polynomial is built and printed (about 2 s for a span of 74,400).
+# dense polynomial is built and printed (about 1 s for a span of 74,400).
 MAX_PRINCIPAL_SPAN = 100_000
+
+# Largest span times the number of exponents left after the numerator and
+# denominator lists cancel: each such exponent is one linear pass over a
+# dense polynomial about the span long.  Whole commands on a 2-vCPU host
+# (Python 3.11) took 1.0 s for E8 with every coordinate 30 (74,400 * 240 =
+# 17.9M), 3.1 s for A64 at 39.7M and 8.0 s for D64 at 94.1M; near the limit,
+# 1.5 s for E8 (99,200 * 240) and 2.3-2.8 s at rank 64, root system included.
+# No type of rank <= 8 reaches it within MAX_PRINCIPAL_SPAN: it has at most
+# 240 exponents.
+MAX_PRINCIPAL_WORK = 25_000_000
 
 # Most digits of a dimension that `dim` prints: Python refuses to convert a
 # longer int to text, and the Weyl product reaches it from coordinates of
@@ -72,6 +82,7 @@ def _phi_list(indices) -> str:
 
 def cmd_principal(args) -> tuple[int, dict, list[str]]:
     from .principal import (
+        _cancel_common,
         explicit_zero_order,
         prime_power_zero,
         principal_character,
@@ -82,10 +93,16 @@ def cmd_principal(args) -> tuple[int, dict, list[str]]:
 
     rs = _build(args.type)
     weight = _parse_weight(rs, args.weight)
-    span = 2 * (sum(weight_pairings(rs, weight)) - sum(rs.rho_pairings))
+    pairings = weight_pairings(rs, weight)
+    span = 2 * (sum(pairings) - sum(rs.rho_pairings))
     if span > MAX_PRINCIPAL_SPAN:
         raise ExponentTooLarge(
             f"degree span {span} exceeds the principal limit span <= {MAX_PRINCIPAL_SPAN}")
+    left = sum(map(len, _cancel_common(pairings, rs.rho_pairings)))
+    if span * left > MAX_PRINCIPAL_WORK:
+        raise ExponentTooLarge(
+            f"degree span {span} times {left} uncancelled exponents exceeds the principal"
+            f" limit span * exponents <= {MAX_PRINCIPAL_WORK}")
     pc = principal_character(rs, weight)
     report = {
         "type": str(rs.type),

@@ -19,9 +19,9 @@ and H has torsion zeros only if p has a cyclotomic factor.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
+from typing import NamedTuple
 
 from . import _dense
 from .errors import ExponentTooLarge, PositiveDimensional, ZeroPolynomial
@@ -220,8 +220,7 @@ def _shares_component(h: BiLaurentPoly, hi: BiLaurentPoly) -> bool:
     return not _is_constant(bivariate_gcd(h, hi))
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class CycloPoint:
+class CycloPoint(NamedTuple):
     """A Galois-orbit representative (x, y) = (z_N^a, z_N^b) of a torsion
     zero; N = lcm(order_x, order_y) is the order of the torus element."""
 
@@ -245,8 +244,7 @@ class CycloPoint:
         return f"({coord(self.a, self.order_x)}, {coord(self.b, self.order_y)})"
 
 
-@dataclasses.dataclass(frozen=True)
-class ExponentLattice:
+class ExponentLattice(NamedTuple):
     """H = x^i * y^j * G(u, v), with u = x^r y^s for the first basis row
     (r, s) and v likewise for the second.
 
@@ -367,8 +365,7 @@ def exponent_lattice(h: BiLaurentPoly) -> ExponentLattice:
     return ExponentLattice(tuple(rows), (i0, j0), reduced)
 
 
-@dataclasses.dataclass(frozen=True)
-class CycloSolveReport:
+class CycloSolveReport(NamedTuple):
     """Verified torsion zeros of a bivariate Laurent polynomial.
 
     points holds canonical orbit representatives (lexicographically minimal

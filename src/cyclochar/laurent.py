@@ -9,10 +9,10 @@ Coefficients are Python ints throughout, so nothing here can overflow.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import operator
+from typing import NamedTuple
 
 from . import _dense
 from .errors import InexactDivision, ZeroPolynomial
@@ -373,8 +373,7 @@ def _phi_divides(p: list[int], d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class CycloFactorization:
+class CycloFactorization(NamedTuple):
     """t**shift times a product of cyclotomic polynomials times a remainder
     with nonzero constant term and no cyclotomic factor left."""
 

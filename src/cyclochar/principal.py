@@ -23,8 +23,8 @@ that the quotient is a polynomial.
 from __future__ import annotations
 
 import collections
-import dataclasses
 import math
+from typing import NamedTuple
 
 from . import _dense
 from .errors import (
@@ -37,8 +37,7 @@ from .laurent import LaurentPoly, prime_factors, sl2_character  # noqa: F401  (r
 from .rootsys import DominantWeight, RootSystem, epsilon_trivial, weight_pairings, weyl_dim
 
 
-@dataclasses.dataclass(frozen=True)
-class PrincipalCharacter:
+class PrincipalCharacter(NamedTuple):
     """An irreducible character evaluated on the principal torus.
 
     poly_u is the same polynomial in u = t**2 when the central element

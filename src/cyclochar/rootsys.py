@@ -8,9 +8,10 @@ the Bourbaki plates.
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 import functools
 import re
+from typing import NamedTuple
 
 from .errors import InvalidRank, NonIntegralDimension
 
@@ -29,17 +30,22 @@ _RANK_RANGE = {
 }
 
 
-@dataclasses.dataclass(frozen=True, order=True)
-class CartanType:
-    family: str
-    rank: int
+# A typing.NamedTuple may not define __new__, so the records that validate
+# their fields (here and scharacter.FiniteClassFunction) subclass
+# collections.namedtuple instead.
+class CartanType(collections.namedtuple("CartanType", "family rank")):
+    """A simple type (family letter, rank), validated on construction; it
+    orders and hashes as the tuple (family, rank)."""
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise InvalidRank(f"unknown family {self.family!r}")
-        lo, hi = _RANK_RANGE[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
-            raise InvalidRank(f"rank {self.rank} out of range for family {self.family}")
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int):
+        if family not in _FAMILIES:
+            raise InvalidRank(f"unknown family {family!r}")
+        lo, hi = _RANK_RANGE[family]
+        if rank < lo or (hi is not None and rank > hi):
+            raise InvalidRank(f"rank {rank} out of range for family {family}")
+        return super().__new__(cls, family, rank)
 
     @staticmethod
     def parse(text: str) -> CartanType:
@@ -55,16 +61,15 @@ class CartanType:
         return f"{self.family}{self.rank}"
 
 
-@dataclasses.dataclass(frozen=True)
-class DominantWeight:
+class DominantWeight(collections.namedtuple("DominantWeight", "coords")):
     """Coordinates in the fundamental-weight basis, all >= 0."""
 
-    coords: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(c < 0 for c in self.coords):
+    def __new__(cls, coords: tuple[int, ...]):
+        if any(c < 0 for c in coords):
             raise ValueError("dominant weight needs nonnegative coordinates")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        return super().__new__(cls, tuple(int(c) for c in coords))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -159,8 +164,7 @@ def _expected_count(ctype: CartanType) -> int:
     return counts[ctype.family]()
 
 
-@dataclasses.dataclass(frozen=True)
-class RootSystem:
+class RootSystem(NamedTuple):
     """Positive-coroot data for one simple type.
 
     positive_coroots lists each coroot's coordinates in the simple-coroot

@@ -13,8 +13,9 @@ Nothing is ever decided by floating point.
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import _dense, realroots
 from .errors import (
@@ -91,8 +92,7 @@ def _coerce(f: SymmetricLaurent | LaurentPoly | dict) -> SymmetricLaurent:
     return SymmetricLaurent(f)
 
 
-@dataclasses.dataclass(frozen=True)
-class PositivityReport:
+class PositivityReport(NamedTuple):
     """Outcome of the circle-positivity decision; when negative, the witness
     is a rational interval in c = cos(theta) on which the value is < 0."""
 
@@ -202,8 +202,7 @@ def su2_decompose(f: SymmetricLaurent | LaurentPoly) -> int:
     raise NotASquare(f"verification f = g_{n}^2 failed")
 
 
-@dataclasses.dataclass(frozen=True)
-class TorusRejection:
+class TorusRejection(NamedTuple):
     """Certificate that a torus class function with constant term 1 is not
     an S-character: a separating one-parameter direction and a negativity
     witness for the restricted circle polynomial."""
@@ -386,24 +385,24 @@ def _real_sign(v: CycloElement) -> int:
         p *= 2
 
 
-@dataclasses.dataclass(frozen=True)
-class FiniteClassFunction:
+class FiniteClassFunction(collections.namedtuple("FiniteClassFunction", "class_sizes values")):
     """Conjugacy-class sizes and exact class-function values over a common
-    cyclotomic modulus; the group order is the size total."""
+    cyclotomic modulus, validated on construction; the group order is the
+    size total."""
 
-    class_sizes: tuple[int, ...]
-    values: tuple[CycloElement, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.class_sizes) != len(self.values):
+    def __new__(cls, class_sizes: tuple[int, ...], values: tuple[CycloElement, ...]):
+        if len(class_sizes) != len(values):
             raise InconsistentClassData("sizes and values differ in length")
-        if not self.class_sizes:
+        if not class_sizes:
             raise InconsistentClassData("no classes")
-        if any(s < 1 for s in self.class_sizes):
+        if any(s < 1 for s in class_sizes):
             raise InconsistentClassData("class sizes must be positive")
-        moduli = {v.modulus for v in self.values}
+        moduli = {v.modulus for v in values}
         if len(moduli) != 1:
             raise InconsistentClassData(f"mixed cyclotomic moduli {sorted(moduli)}")
+        return super().__new__(cls, class_sizes, values)
 
     @staticmethod
     def from_rational(sizes, values) -> FiniteClassFunction:
@@ -420,8 +419,7 @@ class FiniteClassFunction:
         return self.values[0].modulus
 
 
-@dataclasses.dataclass(frozen=True)
-class SCheckReport:
+class SCheckReport(NamedTuple):
     is_positive: bool
     mean_is_one: bool
     zero_classes: tuple[int, ...]

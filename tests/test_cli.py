@@ -13,7 +13,13 @@ from hypothesis import strategies as st
 
 import cyclochar
 from cyclochar import cli
-from cyclochar.cli import MAX_PRINCIPAL_SPAN, MAX_RANK, MAX_SCHECK_EXPONENT, main
+from cyclochar.cli import (
+    MAX_PRINCIPAL_SPAN,
+    MAX_PRINCIPAL_WORK,
+    MAX_RANK,
+    MAX_SCHECK_EXPONENT,
+    main,
+)
 from cyclochar.cyclopoints import MAX_LATTICE_INDEX, MAX_TORUS_DEGREE
 from cyclochar.scharacter import MAX_ROOT_ORDER
 
@@ -91,6 +97,28 @@ class TestPrincipal:
         assert code == 0 and not err and "dimension: 50001" in out
         code, out, err = run(capsys, "principal", "--type", "A1", "--weight", "50001")
         assert code == 3 and "ExponentTooLarge" in err
+
+    def test_work_limit(self, capsys):
+        # span 91,036 with 1,034 exponents left after cancelling: 8 s to answer
+        coords = ["0"] * 64
+        for i, c in {15: 3, 29: 1, 32: 1, 37: 2, 49: 1, 59: 3, 61: 3}.items():
+            coords[i - 1] = str(c)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "principal", "--type", "D64", "--weight", ",".join(coords))
+        assert time.perf_counter() - start < 5.0
+        assert code == 3 and not out
+        assert err == ("error: ExponentTooLarge: degree span 91036 times 1034 uncancelled "
+                       "exponents exceeds the principal limit span * exponents <= "
+                       f"{MAX_PRINCIPAL_WORK}\n")
+
+    def test_work_limit_passes_every_small_rank(self, capsys):
+        # E8 with every coordinate 40: span 99,200 and all 240 exponents left,
+        # the most work of any type of rank <= 8 within the span limit
+        assert 99_200 * 240 <= MAX_PRINCIPAL_WORK
+        code, out, err = run(capsys, "principal", "--type", "E8", "--weight", ",".join(["40"] * 8))
+        assert code == 0 and not err and "element orders with a zero" in out
+        code, out, err = run(capsys, "principal", "--type", "G2", "--weight", "adjoint")
+        assert code == 0 and not err and "Phi_7 Phi_8" in out
 
     def test_rank_limit(self, capsys):
         start = time.perf_counter()
@@ -596,26 +624,67 @@ def cold(code, *argv, timeout=120):
                           capture_output=True, text=True, timeout=timeout)
 
 
-# Prints the exit code, then the loaded cyclochar modules, on the last line.
+# Prints the exit code, then every loaded module, on the last line.
 LOADED = """
 import sys
 import cyclochar.cli
 code = cyclochar.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "cyclochar"))
+print(code, *sorted(sys.modules))
+"""
+
+# Imports each named cyclochar submodule, then prints every loaded module.
+IMPORT_ALL = """
+import importlib, sys
+for name in sys.argv[1:]:
+    importlib.import_module("cyclochar." + name)
+print(*sorted(sys.modules))
 """
 
 BASE = {"cyclochar", "cyclochar.cli", "cyclochar.errors"}
+
+README_COMMANDS = [
+    ("principal", "--type", "G2", "--weight", "adjoint"),
+    ("g2-table",),
+    ("cyclopoints", "--expr", "x + y - 2"),
+    ("dim", "--type", "E8", "--weight", "1,0,0,0,0,0,0,0"),
+    ("scheck", "positive", "--expr", "t + t^-1"),
+    ("scheck", "classify", "--expr", "t^-3 + 2 + t^3"),
+    ("scheck", "su2", "--expr", "t^2 + 2 + t^-2"),
+    ("scheck", "finite", "--file", str(DATA / "psl27.txt")),
+]
+
+# dataclasses (which loads inspect and dis) generates and compiles each
+# record class's methods when its module is imported, a cost every fresh
+# interpreter pays; the records are NamedTuples instead.
+CODEGEN_MODULES = {"dataclasses", "inspect"}
 
 
 class TestColdStartLoading:
     """A subcommand loads only the modules it uses (counts, not timings)."""
 
-    def loaded(self, *argv):
+    def loaded_modules(self, *argv):
         proc = cold(LOADED, *argv)
         assert proc.returncode == 0, proc.stderr
         code, *modules = proc.stdout.splitlines()[-1].split()
         assert code == "0"
         return set(modules)
+
+    def loaded(self, *argv):
+        return {m for m in self.loaded_modules(*argv) if m.split(".")[0] == "cyclochar"}
+
+    @pytest.mark.parametrize("argv", README_COMMANDS,
+                             ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
+    def test_readme_commands_load_no_dataclasses(self, argv):
+        assert self.loaded_modules(*argv) & CODEGEN_MODULES == set()
+
+    def test_importing_every_module_loads_no_dataclasses(self):
+        names = sorted(p.stem for p in (SRC / "cyclochar").glob("*.py") if p.stem != "__init__")
+        assert len(names) == 10
+        proc = cold(IMPORT_ALL, *names)
+        assert proc.returncode == 0, proc.stderr
+        modules = set(proc.stdout.split())
+        assert {f"cyclochar.{name}" for name in names} <= modules
+        assert modules & CODEGEN_MODULES == set()
 
     def test_importing_the_cli_loads_only_errors(self):
         assert self.loaded() == BASE
