@@ -85,6 +85,20 @@ def divexact_binomial(p: list[int], ell: int) -> list[int]:
     return trim(q)
 
 
+def binomial_product(p: list[int], numer, denom) -> list[int]:
+    """p * prod(t**a - 1 for a in numer) / prod(t**b - 1 for b in denom).
+
+    Every multiplication comes first, then the exact divisions in turn, each
+    one linear pass; a division that leaves a remainder raises
+    InexactDivision, so a returned list is the exact quotient.
+    """
+    for a in numer:
+        p = mul_binomial(p, a)
+    for b in denom:
+        p = divexact_binomial(p, b)
+    return p
+
+
 def divmod_exact(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by b over the integers.
 

@@ -322,33 +322,27 @@ def cyclo_index_limit(max_degree: int) -> int:
     return hard
 
 
-def _mobius_binomials(d: int) -> list[tuple[int, int]]:
-    """The pairs (e, mu(d/e)) over the divisors e of d with d/e squarefree,
-    so that Phi_d = prod (t**e - 1)**mu(d/e)."""
-    pairs = [(d, 1)]
+def _mobius_binomials(d: int) -> tuple[list[int], list[int]]:
+    """The divisors e of d with mu(d/e) = +1 and those with mu(d/e) = -1,
+    so that Phi_d = prod(t**e - 1 over the first) / prod(t**e - 1 over the
+    second)."""
+    plus, minus = [d], []
     for p in prime_factors(d):
-        pairs += [(e // p, -mu) for e, mu in pairs]
-    return pairs
+        plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+    return plus, minus
 
 
 @functools.lru_cache(maxsize=None)
 def cyclotomic(d: int) -> LaurentPoly:
     """The d-th cyclotomic polynomial Phi_d, monic of degree phi(d).
 
-    Computed from the Moebius product over binomials t**e - 1: every
-    multiplication first, then the exact divisions, each a linear pass.
+    Computed from the Moebius product over binomials t**e - 1 by one
+    _dense.binomial_product: every multiplication first, then the exact
+    divisions, each a linear pass.
     """
     if d < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    pairs = _mobius_binomials(d)
-    p = [1]
-    for e, mu in pairs:
-        if mu > 0:
-            p = _dense.mul_binomial(p, e)
-    for e, mu in pairs:
-        if mu < 0:
-            p = _dense.divexact_binomial(p, e)
-    return LaurentPoly.from_dense(0, p)
+    return LaurentPoly.from_dense(0, _dense.binomial_product([1], *_mobius_binomials(d)))
 
 
 def divides_cyclotomic(f: LaurentPoly, d: int) -> bool:
@@ -391,37 +385,20 @@ class CycloFactorization(NamedTuple):
         return out * self.remainder
 
 
-_CYCLO_AT_CACHE: dict[tuple[int, int], int] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _cyclotomic_at(d: int, s: int) -> int:
     """Phi_d(s) for an integer point s >= 2, via prod (s**e - 1)**mu(d/e)."""
-    try:
-        return _CYCLO_AT_CACHE[(d, s)]
-    except KeyError:
-        pass
-    num, den = 1, 1
-    for e, mu in _mobius_binomials(d):
-        if mu > 0:
-            num *= s ** e - 1
-        else:
-            den *= s ** e - 1
-    out = num // den
-    _CYCLO_AT_CACHE[(d, s)] = out
-    return out
+    plus, minus = _mobius_binomials(d)
+    return math.prod(s ** e - 1 for e in plus) // math.prod(s ** e - 1 for e in minus)
 
 
-def _cyclo_divisors_once(p: list[int], candidates: list[int] | None) -> list[int]:
-    """Ascending list of indices d with Phi_d dividing the dense polynomial p
-    (p[0] != 0), each reported once regardless of multiplicity.
-
-    Candidates are pre-filtered by divisibility of integer-point values,
-    then confirmed exactly on the fold of p modulo t**d - 1.
-    """
+def _cyclo_candidates(p: list[int]) -> list[int]:
+    """Ascending indices d with phi(d) <= deg p whose Phi_d(s) divides p(s)
+    at two integer points s where p(s) != 0 (p[0] != 0).  Every d with Phi_d
+    dividing p is listed; a listed d need not divide."""
     deg = len(p) - 1
-    phis = phi_table(cyclo_index_limit(deg)) if candidates is None else phi_table(max(candidates))
-    if candidates is None:
-        candidates = range(1, cyclo_index_limit(deg) + 1)
+    limit = cyclo_index_limit(deg)
+    phis = phi_table(limit)
     points = []
     for s in (2, 3, 5, 7, 11):
         v = _dense.evaluate(p, s)
@@ -430,68 +407,54 @@ def _cyclo_divisors_once(p: list[int], candidates: list[int] | None) -> list[int
         if len(points) == 2:
             break
     out = []
-    for d in candidates:
+    for d in range(1, limit + 1):
         if phis[d] > deg:
             continue
-        ok = True
         for s, v in points:
             w = _cyclotomic_at(d, s)
             if w > 1 and v % w:
-                ok = False
                 break
-        if ok and _phi_divides(p, d):
+        else:
             out.append(d)
     return out
-
-
-def _remove_cyclotomics(p: list[int], ds: list[int]) -> list[int]:
-    """Exact quotient of p by prod(Phi_d for d in ds), assembled from
-    binomial blocks t**L - 1 so every pass is linear in the degree."""
-    closure = set()
-    for d in ds:
-        for e in range(1, int(math.isqrt(d)) + 1):
-            if d % e == 0:
-                closure.add(e)
-                closure.add(d // e)
-    wanted = set(ds)
-    exponent: dict[int, int] = {}
-    for ell in sorted(closure, reverse=True):
-        e = (1 if ell in wanted else 0) - sum(
-            exponent[m] for m in closure if m > ell and m % ell == 0
-        )
-        exponent[ell] = e
-    for ell, e in exponent.items():
-        for _ in range(-e):
-            p = _dense.mul_binomial(p, ell)
-    for ell, e in exponent.items():
-        for _ in range(e):
-            p = _dense.divexact_binomial(p, ell)
-    return p
 
 
 def cyclo_factor(f: LaurentPoly) -> CycloFactorization:
     """Extract the monomial shift and every cyclotomic factor of f.
 
-    Candidate indices d run in ascending order over all d with
-    phi(d) <= degree of the shifted polynomial; division is repeated until
-    the full multiplicity of each Phi_d is removed.
+    The candidates d of _cyclo_candidates run in ascending order, and Phi_d
+    is divided off by its own Moebius binomials,
+    p / Phi_d = p * prod(t**e - 1 : mu(d/e) = -1) / prod(t**e - 1 : mu(d/e) = +1),
+    in one _dense.binomial_product, repeated until a division is inexact; the
+    number of successful divisions is the multiplicity of Phi_d.
+
+    Why the division test is exact.  Write M = prod(t**e - 1 : mu = -1) and
+    B_1 ... B_k for the binomials with mu = +1, so Phi_d * M = B_1 ... B_k.
+    The kernel forms p * M and divides it by B_1, ..., B_k in turn.  If
+    Phi_d divides p, p = q * Phi_d, then p * M = q * B_1 ... B_k, and the
+    partial quotient after B_1 ... B_j is q * B_(j+1) ... B_k, a polynomial,
+    so every step is exact and the result is q.  If every step is exact, the
+    result R satisfies p * M = R * B_1 ... B_k = R * Phi_d * M, and M != 0
+    in the domain Z[t], so p = R * Phi_d.
     """
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     shift, p = f.dense()
-    found: dict[int, int] = {}
-    candidates: list[int] | None = None
-    while len(p) > 1:
-        ds = _cyclo_divisors_once(p, candidates)
-        if not ds:
-            break
-        p = _remove_cyclotomics(p, ds)
-        for d in ds:
-            found[d] = found.get(d, 0) + 1
-        candidates = ds
+    factors = []
+    for d in _cyclo_candidates(p):
+        plus, minus = _mobius_binomials(d)
+        mult = 0
+        while True:
+            try:
+                p = _dense.binomial_product(p, minus, plus)
+            except InexactDivision:
+                break
+            mult += 1
+        if mult:
+            factors.append((d, mult))
     return CycloFactorization(
         shift=shift,
-        factors=tuple(sorted(found.items())),
+        factors=tuple(factors),
         remainder=LaurentPoly.from_dense(0, p),
     )
 

@@ -18,6 +18,12 @@ from .laurent import BiLaurentPoly, LaurentPoly
 
 ALLOWED_VARIABLES = ("t", "u", "x", "y")
 
+# Most digits of a coefficient: Python refuses to convert a longer int to
+# text, so a longer one could not be printed.  Literals past it are refused
+# by int() already; products and sums of shorter ones are checked at the end.
+MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
+
 _OPS = set("+-*^()")
 
 
@@ -140,7 +146,8 @@ def parse(text: str, variables=("t",)) -> LaurentPoly | BiLaurentPoly:
 
     One variable yields a LaurentPoly, two a BiLaurentPoly keyed in the
     given order.  Raises ParseError (with a 0-based position) on malformed
-    input and UnknownVariable on a name outside the set.
+    input or a coefficient of more than MAX_COEFF_DIGITS digits, and
+    UnknownVariable on a name outside the set.
     """
     variables = tuple(variables)
     if not 1 <= len(variables) <= 2:
@@ -153,7 +160,11 @@ def parse(text: str, variables=("t",)) -> LaurentPoly | BiLaurentPoly:
     kind, _, pos = parser.peek()
     if kind != "END":
         raise ParseError("trailing input after expression", pos)
-    return parser.ring.term(poly) if isinstance(poly, int) else poly
+    if isinstance(poly, int):
+        poly = parser.ring.term(poly)
+    if any(abs(c) >= _COEFF_BOUND for c in poly.coeffs.values()):
+        raise ParseError(f"a coefficient has more than {MAX_COEFF_DIGITS} digits", 0)
+    return poly
 
 
 def parse_univariate(text: str, variable: str = "t") -> LaurentPoly:

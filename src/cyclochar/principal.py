@@ -107,13 +107,7 @@ def binomial_quotient(numer: list[int], denom: list[int]) -> LaurentPoly:
         raise ValueError("exponents must be positive")
     if sum(numer) < sum(denom):
         raise InexactDivision("denominator degree exceeds numerator degree")
-    numer, denom = _cancel_common(numer, denom)
-    quot = [1]
-    for a in numer:
-        quot = _dense.mul_binomial(quot, a)
-    for b in denom:
-        quot = _dense.divexact_binomial(quot, b)
-    return LaurentPoly.from_dense(0, quot)
+    return LaurentPoly.from_dense(0, _dense.binomial_product([1], *_cancel_common(numer, denom)))
 
 
 def principal_character(rs: RootSystem, weight: DominantWeight) -> PrincipalCharacter:

@@ -1,6 +1,6 @@
 """Root-system data for the simple Cartan types.
 
-Positive coroots are generated by string closure from the simple coroots,
+Positive coroots are generated by simple reflections from the simple coroots,
 working entirely in the simple-coroot basis: every quantity downstream is a
 pairing integer, so no Euclidean embedding is needed.  Numbering follows
 the Bourbaki plates.
@@ -117,30 +117,27 @@ def cartan_matrix(ctype: CartanType) -> tuple[tuple[int, ...], ...]:
 
 
 def positive_root_vectors(cartan: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """All positive roots in the simple-root basis, by string closure.
+    """All positive roots in the simple-root basis, by simple reflections.
 
-    alpha + alpha_i is a root iff the string length down exceeds the pairing
-    <alpha, alpha_i^vee>; generation proceeds by height, so the downward
-    string is always complete when inspected.
+    s_i(beta) = beta - <beta, alpha_i^vee> alpha_i raises the height of a
+    positive root beta exactly when the pairing is negative.  Every positive
+    root beta other than a simple one has some i with a positive pairing,
+    and s_i(beta) is then a positive root of lower height, so closing the
+    simple roots under the height-raising reflections reaches every positive
+    root.  Each pairing sums over the nonzero entries of the Cartan row only.
     """
     n = len(cartan)
-    roots = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
-    frontier = list(roots)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
+    frontier = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    roots = set(frontier)
     while frontier:
         new = []
         for root in frontier:
-            for i in range(n):
-                pairing = sum(c * cartan[i][j] for j, c in enumerate(root))
-                down = 0
-                probe = list(root)
-                while True:
-                    probe[i] -= 1
-                    if probe[i] < 0 or tuple(probe) not in roots:
-                        break
-                    down += 1
-                if down - pairing >= 1:
+            for i, row in enumerate(rows):
+                pairing = sum(a * root[j] for j, a in row)
+                if pairing < 0:
                     up = list(root)
-                    up[i] += 1
+                    up[i] -= pairing
                     cand = tuple(up)
                     if cand not in roots:
                         roots.add(cand)

@@ -29,7 +29,7 @@ from .errors import (
     NotSymmetric,
 )
 from .laurent import CycloElement, LaurentPoly, cos_expand, sl2_character
-from .parsing import ALLOWED_VARIABLES, parse_univariate
+from .parsing import ALLOWED_VARIABLES, MAX_COEFF_DIGITS, parse_univariate
 
 # Largest N in a `root <var> <N>` class-data directive.  Each real value is
 # reduced mod Phi_N twice (once built, once conjugated by the realness test),
@@ -482,7 +482,8 @@ def load_class_data(text: str) -> FiniteClassFunction:
     expression>`.  Without a directive, values are evaluated with modulus 1
     (any variable collapses to 1).  Lines starting with '#' are comments.
     A root order above MAX_ROOT_ORDER raises ExponentTooLarge before any
-    value is built.
+    value is built; a size total of more than MAX_COEFF_DIGITS digits, the
+    group order, raises InconsistentClassData.
     """
     var = "t"
     modulus = 1
@@ -520,4 +521,6 @@ def load_class_data(text: str) -> FiniteClassFunction:
         poly = parse_univariate(parts[1], var)
         sizes.append(size)
         values.append(CycloElement.from_laurent(poly, modulus))
+    if sum(sizes) >= 10 ** MAX_COEFF_DIGITS:
+        raise InconsistentClassData(f"the class sizes total more than {MAX_COEFF_DIGITS} digits")
     return FiniteClassFunction(tuple(sizes), tuple(values))

@@ -598,6 +598,33 @@ class TestUsage:
         assert run(capsys, "--help")[0] == 0
 
 
+class TestUnprintableInput:
+    @pytest.mark.parametrize("argv", [["cyclopoints"], ["scheck", "finite"]])
+    def test_file_that_is_not_utf8_exits_1(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff")
+        code, out, err = run(capsys, *argv, "--file", str(path))
+        assert code == 1 and not out
+        assert err == ("cannot read input: 'utf-8' codec can't decode byte 0xff in "
+                       "position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_coefficient_too_long_to_print_exits_2(self, capsys, fmt):
+        a = "9" * 4000
+        code, out, err = run(capsys, "--format", fmt, "cyclopoints", "--expr", f"x - {a}*{a}")
+        assert code == 2 and not out
+        assert err == "parse error: a coefficient has more than 4300 digits (position 0)\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_class_size_total_too_long_to_print_exits_3(self, capsys, tmp_path, fmt):
+        path = tmp_path / "sizes.txt"
+        path.write_text(f"{'9' * 4300} 1\n{'9' * 4300} 1\n")
+        code, out, err = run(capsys, "--format", fmt, "scheck", "finite", "--file", str(path))
+        assert code == 3 and not out
+        assert err == ("error: InconsistentClassData: the class sizes total more than "
+                       "4300 digits\n")
+
+
 class TestInternalError:
     def test_unexpected_exception_is_one_line_exit_4(self, capsys, monkeypatch):
         def boom(args):

@@ -26,6 +26,9 @@ from cyclochar.laurent import (
     resultant,
 )
 from cyclochar.errors import InexactDivision, ZeroPolynomial
+from cyclochar.principal import principal_character
+from cyclochar.rootsys import DominantWeight, adjoint_weight, build
+from test_rootsys import types_up_to_rank
 
 T = LaurentPoly.variable()
 
@@ -213,6 +216,56 @@ class TestCycloFactor:
         f = cyclotomic(12) * cyclotomic(5) * (T + 2)
         for d in (1, 2, 3, 4, 5, 6, 12, 60):
             assert divides_cyclotomic(f, d) == f.divisible_by(cyclotomic(d))
+
+
+def cyclo_factor_reference(f):
+    """(shift, factors, remainder) by schoolbook division: for each d in
+    ascending order, divide by cyclotomic(d) while divisible_by holds."""
+    shift, p = f.dense()
+    rem = LaurentPoly.from_dense(0, p)
+    factors = []
+    for d in range(1, cyclo_index_limit(rem.max_exp) + 1):
+        phi = cyclotomic(d)
+        mult = 0
+        while phi.max_exp <= rem.max_exp and rem.divisible_by(phi):
+            rem = rem.divexact(phi)
+            mult += 1
+        if mult:
+            factors.append((d, mult))
+    return shift, tuple(factors), rem
+
+
+class TestCycloFactorReference:
+    def test_seeded_products_of_cyclotomics_and_noise(self):
+        rng = random.Random(17)
+        for _ in range(400):
+            f = LaurentPoly({e: rng.randint(-3, 3) for e in range(rng.randint(0, 4) + 1)})
+            if f.is_zero():
+                f = LaurentPoly.one()
+            for _ in range(rng.randint(0, 5)):
+                f = f * cyclotomic(rng.randint(1, 30))
+            f = f.shift(rng.randint(-4, 4))
+            cf = cyclo_factor(f)
+            assert (cf.shift, cf.factors, cf.remainder) == cyclo_factor_reference(f), f
+
+    def test_binomial_product_certifies_exactness(self):
+        assert _dense.binomial_product([1], [6, 1], [3, 2]) == [1, -1, 1]  # Phi_6
+        with pytest.raises(InexactDivision):
+            _dense.binomial_product([1, 1], [], [2])
+
+    def test_principal_polynomials_of_every_type_up_to_rank_8(self):
+        rng = random.Random(8)
+        types = types_up_to_rank(8)
+        assert len(types) == 32
+        for ctype in types:
+            rs = build(ctype)
+            first = DominantWeight((1,) + (0,) * (ctype.rank - 1))
+            seeded = DominantWeight(tuple(rng.randint(0, 1) for _ in range(ctype.rank)))
+            for weight in (adjoint_weight(rs), first, seeded):
+                f = principal_character(rs, weight).natural_poly()
+                cf = cyclo_factor(f)
+                assert (cf.shift, cf.factors, cf.remainder) == cyclo_factor_reference(f), (ctype, weight)
+                assert cf.remainder == 1
 
 
 class TestBivariate:

@@ -84,3 +84,50 @@ def test_submodule_resolves_after_a_bare_import():
                           env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "cyclochar.laurent LaurentPoly\n"
+
+
+def _load_tracing():
+    """perfbench/tracing.py as a module, read from the checkout, unchanged."""
+    import importlib.util
+
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_benchmark_targets_exist_and_their_hooks_read_live_results():
+    # The benchmark's tracer wraps these functions by name and its counter
+    # hooks read attributes of their results; a rename here breaks traced runs.
+    import collections
+    import importlib
+
+    from cyclochar.cyclopoints import g2_adjoint_poly
+    from cyclochar.laurent import LaurentPoly
+    from cyclochar.parsing import parse_bivariate
+
+    tracing = _load_tracing()
+    h, g = parse_bivariate("x + y - 2"), parse_bivariate("x - y")
+    samples = {
+        ("principal", "binomial_quotient"): ([4], [2]),
+        ("laurent", "cyclo_factor"): (LaurentPoly({4: 1, 0: 1}),),
+        ("laurent", "resultant"): (h, g, "y"),
+        ("laurent", "eval_at_roots"): (g2_adjoint_poly(), 7, 1, 3),
+        ("realroots", "nonneg_on_interval"): ([1, 0, 1], -1, 1),
+        ("cyclopoints", "solve"): (h,),
+    }
+    hooked = set()
+    for mod_name, fn_name, hook in tracing.TARGETS:
+        fn = getattr(importlib.import_module(f"cyclochar.{mod_name}"), fn_name)
+        assert callable(fn), (mod_name, fn_name)
+        if hook is not None:
+            args = samples[(mod_name, fn_name)]
+            hook(collections.defaultdict(int), args, fn(*args))
+            hooked.add((mod_name, fn_name))
+    assert hooked == set(samples)
+    cf = cyclochar.cyclo_factor(LaurentPoly({4: 1, 0: 1}))
+    assert cf.factors == ((8, 1),) and cf.remainder == 1
+    assert cyclochar.eval_at_roots(g2_adjoint_poly(), 7, 1, 3).residue == (0,) * 6
+    assert cyclochar.solve(g).positive_dimensional
+    assert cyclochar.binomial_quotient([4], [2]).coeffs == {0: 1, 2: 1}

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from cyclochar.cyclopoints import g2_adjoint_poly
 from cyclochar.errors import ParseError, UnknownVariable
 from cyclochar.laurent import BiLaurentPoly, LaurentPoly
-from cyclochar.parsing import parse, parse_bivariate, parse_univariate
+from cyclochar.parsing import MAX_COEFF_DIGITS, parse, parse_bivariate, parse_univariate
 
 H_TEXT = ("y^4*x^6 + y^3*(x^6+x^5+x^4+x^3) + y^2*(x^4+2*x^3+x^2)"
           " + y*(x^3+x^2+x) + y + 1")
@@ -72,6 +72,15 @@ def test_bad_exponent():
         parse_univariate("t^")
     with pytest.raises(ParseError):
         parse_univariate("t^x")
+
+
+def test_coefficient_digit_limit():
+    # the longest printable coefficient parses; a product or a sum past it does not
+    top = "9" * MAX_COEFF_DIGITS
+    assert parse_bivariate(f"x - {top}").coefficient(0, 0) == -int(top)
+    for text in (f"x - {top} - 1", f"x - {'9' * 2200}*{'9' * 2200}", f"{top} + 1"):
+        with pytest.raises(ParseError, match=f"more than {MAX_COEFF_DIGITS} digits"):
+            parse_bivariate(text)
 
 
 def test_other_variables():

@@ -34,6 +34,47 @@ CLASSICAL = {
 }
 
 
+def string_closure_reference(cartan):
+    """Positive roots by the string closure that simple reflections
+    replaced: alpha + alpha_i is a root iff the string length down exceeds
+    the pairing <alpha, alpha_i^vee>, generated by height."""
+    n = len(cartan)
+    roots = {tuple(1 if j == i else 0 for j in range(n)) for i in range(n)}
+    frontier = list(roots)
+    while frontier:
+        new = []
+        for root in frontier:
+            for i in range(n):
+                pairing = sum(c * cartan[i][j] for j, c in enumerate(root))
+                down = 0
+                probe = list(root)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in roots:
+                        break
+                    down += 1
+                if down - pairing >= 1:
+                    up = list(root)
+                    up[i] += 1
+                    cand = tuple(up)
+                    if cand not in roots:
+                        roots.add(cand)
+                        new.append(cand)
+        frontier = new
+    return tuple(sorted(roots, key=lambda r: (sum(r), r)))
+
+
+def types_up_to_rank(max_rank):
+    out = []
+    for family in "ABCDEFG":
+        for rank in range(1, max_rank + 1):
+            try:
+                out.append(CartanType(family, rank))
+            except InvalidRank:
+                pass
+    return out
+
+
 def rs(name):
     return build(CartanType.parse(name))
 
@@ -56,6 +97,15 @@ class TestRootClosure:
         # beta+3alpha, 2beta+3alpha
         roots = set(positive_root_vectors(cartan_matrix(CartanType("G", 2))))
         assert roots == {(1, 0), (0, 1), (1, 1), (2, 1), (3, 1), (3, 2)}
+
+    def test_reflections_match_string_closure_up_to_rank_12(self):
+        types = types_up_to_rank(12)
+        assert len(types) == 48
+        for ctype in types:
+            cartan = cartan_matrix(ctype)
+            dual = tuple(zip(*cartan))
+            assert positive_root_vectors(cartan) == string_closure_reference(cartan), ctype
+            assert positive_root_vectors(dual) == string_closure_reference(dual), ctype
 
     @pytest.mark.parametrize("name", ALL_TYPES)
     def test_counts(self, name):
