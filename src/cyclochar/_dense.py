@@ -26,15 +26,6 @@ def trim(p: list) -> list:
     return p
 
 
-def add(a: list[int], b: list[int]) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return trim(out)
-
-
 def sub(a: list[int], b: list[int]) -> list[int]:
     out = list(a) + [0] * (len(b) - len(a))
     for i, c in enumerate(b):

@@ -18,8 +18,10 @@ from .errors import CycloCharError, ExponentTooLarge, InvalidRank, ParseError
 
 USAGE_EXIT, PARSE_EXIT, DOMAIN_EXIT, INTERNAL_EXIT = 1, 2, 3, 4
 
-# Largest |exponent| accepted by scheck positive/classify/su2: the exact
-# positivity decision slows steeply with the degree (tens of seconds at 256).
+# Largest |exponent| accepted by scheck positive/classify/su2.  The exact
+# positivity decision slows steeply with the degree: random positive
+# symmetric inputs took 1.6-1.8 s at degree 64, 20-22 s at 96 and 132 s at
+# 128 (2 vCPUs, Python 3.11), and one of degree 256 ran past 600 s.
 MAX_SCHECK_EXPONENT = 256
 
 # Largest rank accepted by principal and dim: building the root system slows
@@ -195,16 +197,8 @@ def _load_bivariate(args):
 
 def _point_dicts(rep) -> list[dict]:
     return [
-        {
-            "modulus": p.modulus,
-            "a": p.a,
-            "b": p.b,
-            "order_x": p.order_x,
-            "order_y": p.order_y,
-            "element_order": p.element_order,
-            "orbit_size": size,
-            "variants": list(vs),
-        }
+        {**p._asdict(), "element_order": p.element_order, "orbit_size": size,
+         "variants": list(vs)}
         for p, size, vs in zip(rep.points, rep.orbit_sizes, rep.variant_attribution)
     ]
 
@@ -301,13 +295,6 @@ def cmd_cyclopoints(args) -> tuple[int, dict, list[str]]:
     return 0, report, lines
 
 
-def cmd_g2_table(args) -> tuple[int, dict, list[str]]:
-    from .cyclopoints import g2_adjoint_poly, solve
-
-    report, lines = _solve_report(solve(g2_adjoint_poly()))
-    return 0, report, lines
-
-
 def cmd_scheck(args) -> tuple[int, dict, list[str]]:
     from .parsing import parse_univariate
     from .scharacter import (
@@ -325,17 +312,8 @@ def cmd_scheck(args) -> tuple[int, dict, list[str]]:
         with open(args.file, "r", encoding="utf-8") as fh:
             cf = load_class_data(fh.read())
         rep = finite_s_check(cf)
-        report = {
-            "group_order": cf.group_order,
-            "classes": len(cf.class_sizes),
-            "is_positive": rep.is_positive,
-            "mean_is_one": rep.mean_is_one,
-            "is_s_character": rep.is_s_character,
-            "zero_classes": list(rep.zero_classes),
-            "nonreal_classes": list(rep.nonreal_classes),
-            "negative_classes": list(rep.negative_classes),
-            "is_trivial": rep.is_trivial,
-        }
+        report = {**rep._asdict(), "group_order": cf.group_order,
+                  "classes": len(cf.class_sizes), "is_s_character": rep.is_s_character}
         lines = [
             f"group order {cf.group_order}, {len(cf.class_sizes)} classes",
             f"positive: {'yes' if rep.is_positive else 'no'}",
@@ -364,7 +342,8 @@ def cmd_scheck(args) -> tuple[int, dict, list[str]]:
     if args.subcheck == "classify":
         m, sign = classify_a0_2(f)
         report = {"m": m, "sign": sign}
-        shape = f"t^-{m} + 2 + t^{m}" if sign == "+" else f"-t^-{m} + 2 - t^{m}"
+        top = "t" if m == 1 else f"t^{m}"
+        shape = f"t^-{m} + 2 + {top}" if sign == "+" else f"-t^-{m} + 2 - {top}"
         return 0, report, [f"f = {shape}  (m = {m}, sign {sign})"]
     if args.subcheck == "su2":
         n = su2_decompose(f)
@@ -397,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", help="file containing the polynomial")
     p.add_argument("--builtin", help="named builtin polynomial (g2-adjoint)")
 
-    sub.add_parser("g2-table", help="alias for cyclopoints --builtin g2-adjoint")
+    p = sub.add_parser("g2-table", help="alias for cyclopoints --builtin g2-adjoint")
+    p.set_defaults(expr=None, file=None, builtin="g2-adjoint")
 
     p = sub.add_parser("scheck", help="positivity and S-character checks")
     p.add_argument("subcheck", choices=("positive", "classify", "su2", "finite"))
@@ -427,7 +407,7 @@ _DISPATCH = {
     "principal": cmd_principal,
     "dim": cmd_dim,
     "cyclopoints": cmd_cyclopoints,
-    "g2-table": cmd_g2_table,
+    "g2-table": cmd_cyclopoints,
     "scheck": cmd_scheck,
 }
 

@@ -24,6 +24,11 @@ ALLOWED_VARIABLES = ("t", "u", "x", "y")
 MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10 ** MAX_COEFF_DIGITS
 
+# Most parentheses open at once.  Each level costs three frames of the
+# recursive descent, so this keeps deep nesting well inside the
+# interpreter's recursion limit and refuses it as a parse error.
+MAX_PAREN_DEPTH = 100
+
 _OPS = set("+-*^()")
 
 
@@ -71,6 +76,7 @@ class _Parser:
         self.pos = 0
         self.variables = variables
         self.ring = LaurentPoly if len(variables) == 1 else BiLaurentPoly
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -123,10 +129,14 @@ class _Parser:
                 exp = self._signed_integer()
             return self.ring.term(1, *(exp if v == val else 0 for v in self.variables))
         if kind == "OP" and val == "(":
+            self.depth += 1
+            if self.depth > MAX_PAREN_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PAREN_DEPTH}", pos)
             inner = self.expression()
             kind2, val2, pos2 = self.take()
             if not (kind2 == "OP" and val2 == ")"):
                 raise ParseError("expected ')'", pos2)
+            self.depth -= 1
             return inner
         raise ParseError("expected a factor", pos)
 

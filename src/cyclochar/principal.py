@@ -81,6 +81,12 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
+def _multiplicity(numer, denom, d: int) -> int:
+    """#{a : d | a} - #{b : d | b}: the multiplicity of Phi_d in
+    prod(t**a - 1) / prod(t**b - 1)."""
+    return sum(1 for a in numer if a % d == 0) - sum(1 for b in denom if b % d == 0)
+
+
 def _cyclotomic_counts(numer, denom) -> collections.Counter:
     """Multiplicity of Phi_d in prod(t**a - 1) / prod(t**b - 1) for every d
     dividing an exponent, #{a : d | a} - #{b : d | b}, since t**k - 1 is the
@@ -172,14 +178,12 @@ def explicit_zero_order(rs: RootSystem, weight: DominantWeight,
     """The order m = <2 lambda + 2 rho, beta^vee> at which the character is
     guaranteed to vanish, beta^vee the highest coroot; that Phi_m divides
     poly_t, #{i : m | 2n'_i} > #{i : m | 2n_i}, is asserted before
-    returning."""
+    returning.  m is even, so m | 2n exactly when m/2 | n."""
     if weight.is_zero():
         raise ZeroWeight("the trivial character never vanishes")
     nprime = weight_pairings(rs, weight) if pc is None else pc.numerator_exponents
     m = 2 * nprime[rs.highest_coroot_index]
-    mult = (sum(1 for a in nprime if 2 * a % m == 0)
-            - sum(1 for b in rs.rho_pairings if 2 * b % m == 0))
-    if mult <= 0:
+    if _multiplicity(nprime, rs.rho_pairings, m // 2) <= 0:
         raise NonCyclotomicRemainder(f"Phi_{m} does not divide the character")
     return m
 
@@ -202,12 +206,7 @@ def prime_power_zero(numer: list[int], denom: list[int]) -> tuple[int, int]:
     """
     if any(a < 1 for a in numer) or any(b < 1 for b in denom):
         raise ValueError("exponents must be positive integers")
-    prod_n = 1
-    for a in numer:
-        prod_n *= a
-    prod_d = 1
-    for b in denom:
-        prod_d *= b
+    prod_n, prod_d = math.prod(numer), math.prod(denom)
     if prod_n <= prod_d:
         raise ProductNotLarger(f"{prod_n} <= {prod_d}")
     primes = set()
@@ -216,12 +215,9 @@ def prime_power_zero(numer: list[int], denom: list[int]) -> tuple[int, int]:
     for ell in sorted(primes):
         if sum(_valuation(a, ell) for a in numer) > sum(_valuation(b, ell) for b in denom):
             m = 1
-            while True:
-                q = ell ** m
-                w = sum(1 for a in numer if a % q == 0) - sum(1 for b in denom if b % q == 0)
-                if w > 0:
-                    return ell, m
+            while _multiplicity(numer, denom, ell ** m) <= 0:
                 m += 1
+            return ell, m
     raise AssertionError("valuation argument guarantees a qualifying prime")
 
 

@@ -35,7 +35,8 @@ from .parsing import ALLOWED_VARIABLES, MAX_COEFF_DIGITS, parse_univariate
 # reduced mod Phi_N twice (once built, once conjugated by the realness test),
 # in time about (N - phi(N)) phi(N) and worst at N with many odd prime
 # factors; its sign costs little.  A 6-value file of near-zero values takes
-# 0.5-0.7 s at N = 1785 and 1995 and 0.02 s at 2048 (2 vCPUs).
+# about 0.6 s at N = 1785, 0.7 s at 1995 and 0.1 s at 2048 as a whole
+# command (2 vCPUs).
 MAX_ROOT_ORDER = 2048
 
 
@@ -342,7 +343,8 @@ def _fixed_value(residue: list[int], modulus: int, scale: int) -> tuple[int, int
 
 
 def cyclo_sign(v: CycloElement) -> int:
-    """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N).
+    """Sign (-1, 0, +1) of a real cyclotomic value under z = exp(2 pi i/N);
+    a non-real value raises ValueError.
 
     Zero and rational values are read off the residue.  Otherwise the value
     is approximated in integer fixed point at 2^p (_fixed_value): an integer
@@ -363,11 +365,6 @@ def cyclo_sign(v: CycloElement) -> int:
     """
     if not v.is_real():
         raise ValueError("sign of a non-real value")
-    return _real_sign(v)
-
-
-def _real_sign(v: CycloElement) -> int:
-    """cyclo_sign for a value already known to be real."""
     if v.is_zero():
         return 0
     if v.is_rational():
@@ -444,10 +441,11 @@ def finite_s_check(cf: FiniteClassFunction) -> SCheckReport:
     negative = []
     zeros = []
     for i, v in enumerate(cf.values):
-        if not v.is_real():
+        try:
+            s = cyclo_sign(v)
+        except ValueError:
             nonreal.append(i)
             continue
-        s = _real_sign(v)
         if s == 0:
             zeros.append(i)
         elif s < 0:

@@ -321,6 +321,14 @@ class TestScheck:
         code, out, _ = run(capsys, "scheck", "classify", "--expr", "t^-3 + 2 + t^3")
         assert code == 0 and "m = 3" in out
 
+    def test_classify_prints_exponent_one_as_t(self, capsys):
+        assert run(capsys, "scheck", "classify", "--expr", "t + 2 + t^-1") == (
+            0, "f = t^-1 + 2 + t  (m = 1, sign +)\n", "")
+        assert run(capsys, "scheck", "classify", "--expr", "-t + 2 - t^-1") == (
+            0, "f = -t^-1 + 2 - t  (m = 1, sign -)\n", "")
+        assert run(capsys, "scheck", "classify", "--expr", "-t^3 + 2 - t^-3") == (
+            0, "f = -t^-3 + 2 - t^3  (m = 3, sign -)\n", "")
+
     def test_finite_psl27(self, capsys):
         code, out, _ = run(capsys, "scheck", "finite", "--file", str(DATA / "psl27.txt"))
         assert code == 0
@@ -623,6 +631,30 @@ class TestUnprintableInput:
         assert code == 3 and not out
         assert err == ("error: InconsistentClassData: the class sizes total more than "
                        "4300 digits\n")
+
+
+class TestNestingDepth:
+    """Parentheses nest to MAX_PAREN_DEPTH; one more is a one-line parse
+    error (exit 2), not a RecursionError (exit 4)."""
+
+    @staticmethod
+    def nested(depth: int, inner: str) -> str:
+        return "(" * depth + inner + ")" * depth
+
+    def test_expr(self, capsys):
+        code, out, err = run(capsys, "cyclopoints", "--expr", self.nested(100, "x + y - 2"))
+        assert code == 0 and not err and "(1, 1); 1" in out
+        assert run(capsys, "cyclopoints", "--expr", self.nested(101, "x + y - 2")) == (
+            2, "", "parse error: parentheses nested deeper than 100 (position 100)\n")
+
+    def test_class_data(self, capsys, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text(f"1 {self.nested(100, '1')}\n")
+        code, out, err = run(capsys, "scheck", "finite", "--file", str(path))
+        assert code == 0 and not err and "S-character: yes" in out
+        path.write_text(f"1 {self.nested(101, '1')}\n")
+        assert run(capsys, "scheck", "finite", "--file", str(path)) == (
+            2, "", "parse error: parentheses nested deeper than 100 (position 100)\n")
 
 
 class TestInternalError:

@@ -217,6 +217,16 @@ class TestSolve:
     def test_cyclopoint_ordering_is_canonical(self, g2_report):
         assert list(g2_report.points) == sorted(g2_report.points)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: a factor that shares a "
+                       "component with a variant hides the other factor's zeros")
+    def test_product_keeps_the_zeros_of_each_factor(self):
+        # x + y^2 - 1 alone has the orbit of (z12^2, z12^5); x^2 - y shares a
+        # component with variants 1, 2, 4 and 6, and the product loses it
+        alone = solve(parse_bivariate("x + y^2 - 1")).points
+        assert [(p.modulus, p.a, p.b) for p in alone] == [(12, 2, 5)]
+        product = solve(parse_bivariate("(x^2 - y)*(x + y^2 - 1)")).points
+        assert set(alone) <= set(product)
+
 
 def _rebuild(lat):
     """x^i y^j * G(x^r1 y^s1, x^r2 y^s2) from an ExponentLattice."""

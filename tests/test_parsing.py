@@ -5,7 +5,13 @@ from hypothesis import strategies as st
 from cyclochar.cyclopoints import g2_adjoint_poly
 from cyclochar.errors import ParseError, UnknownVariable
 from cyclochar.laurent import BiLaurentPoly, LaurentPoly
-from cyclochar.parsing import MAX_COEFF_DIGITS, parse, parse_bivariate, parse_univariate
+from cyclochar.parsing import (
+    MAX_COEFF_DIGITS,
+    MAX_PAREN_DEPTH,
+    parse,
+    parse_bivariate,
+    parse_univariate,
+)
 
 H_TEXT = ("y^4*x^6 + y^3*(x^6+x^5+x^4+x^3) + y^2*(x^4+2*x^3+x^2)"
           " + y*(x^3+x^2+x) + y + 1")
@@ -65,6 +71,19 @@ def test_unbalanced_parens():
         parse_univariate("(t + 1")
     with pytest.raises(ParseError):
         parse_univariate("t + 1)")
+
+
+def test_paren_depth_limit():
+    # the limit counts parentheses open at once, not parentheses in all
+    deep = "(" * MAX_PAREN_DEPTH + "t + 1" + ")" * MAX_PAREN_DEPTH
+    assert MAX_PAREN_DEPTH == 100
+    assert parse_univariate(deep) == LaurentPoly({1: 1, 0: 1})
+    assert parse_univariate(" * ".join([deep] * 3)) == LaurentPoly({3: 1, 2: 3, 1: 3, 0: 1})
+    with pytest.raises(ParseError, match=r"nested deeper than 100 \(position 100\)"):
+        parse_univariate("(" + deep + ")")
+    # refused at the first parenthesis past the limit, far from the recursion limit
+    with pytest.raises(ParseError, match=r"nested deeper than 100 \(position 100\)"):
+        parse_bivariate("(" * 5000 + "x" + ")" * 5000)
 
 
 def test_bad_exponent():

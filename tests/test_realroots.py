@@ -339,7 +339,7 @@ class TestTarskiSign:
                 # the same value at the root up to the positive factor
                 scale = F(rng.randint(1, 9), rng.randint(1, 9))
                 shift = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(rng.randint(1, 3))]
-                fracs = _dense.add([scale * a for a in ints], _dense.mul(shift, psi))
+                fracs = _dense.sub([scale * a for a in ints], [-c for c in _dense.mul(shift, psi)])
                 want = self.ref_sign(ints, psi, lo, hi)
                 assert want in (-1, 1)
                 assert realroots.sign_at_unique_root(ints, psi, lo, hi) == want, (n, c)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import random
 from decimal import ROUND_FLOOR, Decimal, localcontext
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclochar import _dense, realroots
+from cyclochar import _dense, realroots, scharacter
 from cyclochar.errors import (
     HypothesisViolated,
     InconsistentClassData,
@@ -668,6 +669,25 @@ class TestFiniteSCheck:
         report = finite_s_check(FiniteClassFunction((1,) * len(values), values))
         assert report.negative_classes and report.nonreal_classes == (6,)
         assert calls == list(values)
+
+    def test_every_sign_through_cyclo_sign(self, monkeypatch):
+        # the class-data signs have one home, the public cyclo_sign, so a
+        # wrapper on the module name sees each real value exactly once
+        signs = []
+        sign = scharacter.cyclo_sign
+
+        def counted(v):
+            signs.append(sign(v))
+            return signs[-1]
+
+        monkeypatch.setattr(scharacter, "cyclo_sign", counted)
+        psl27 = (pathlib.Path(__file__).parent / "data" / "psl27.txt").read_text()
+        report = finite_s_check(load_class_data(psl27))
+        assert signs == [1, 1, 0, 1, 1, 1] and report.zero_classes == (2,)
+        signs.clear()
+        report = finite_s_check(load_class_data("root t 7\n1 3\n1 t + t^-1\n1 t\n1 -1\n"))
+        assert signs == [1, 1, -1]
+        assert report.nonreal_classes == (2,) and report.negative_classes == (3,)
 
     def test_malformed_data(self):
         with pytest.raises(InconsistentClassData):
